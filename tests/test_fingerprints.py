@@ -1,0 +1,46 @@
+"""Reference fingerprints: the manifest sha256 of small runs of every preset.
+
+A refactor that claims to change no behaviour must leave every hash below
+unchanged. The hashes depend on numpy's sampler algorithms; they were taken
+with numpy 2.4.6.
+"""
+import hashlib
+
+import pytest
+
+from firmgrowth import cli
+
+FINGERPRINTS = [
+    ("--preset ScenarioII --n-firms 50 --n-workers 2000 --iterations 120 --seeds 9 "
+     "--snapshot-times 60,120",
+     "850df2c0a68388ef6f97473c6404cbbf18ea359bca75b261135510229c905589"),
+    ("--preset ScenarioI --n-firms 200 --n-workers 20000 --iterations 200 --seeds 1,2",
+     "214ae93334de57dbd6c5f7d1efce63886454129558686e063e677e5747406f7a"),
+    ("--preset Additive --n-units 200 --n-workers 20000 --iterations 200 --seeds 3 "
+     "--snapshot-times 100,200",
+     "e96053869d31e503d456803b9e42c9c5006c95a4bf5eb8e83b20ffff62060ed7"),
+    ("--preset Multiplicative --n-units 300 --n-workers 15000 --iterations 200 --seeds 3 "
+     "--snapshot-times 100,200",
+     "1af1cddf3cbb5752cb1f65d8fd0ccdf133b91b2862d50cb113f4c90f207ef372"),
+    ("--preset ScaledBeta --n-units 300 --n-workers 30000 --iterations 200 --seeds 3 "
+     "--snapshot-times 100,200",
+     "1c429d2fffd386cd3612aa07e3b14ebfecf1706c995ef3252d743285f758024d"),
+    ("--preset MarsiliSequential --n-units 50 --n-workers 2000 --iterations 40 --seeds 3 "
+     "--snapshot-times 20,40",
+     "dcb80b57b7fcefb60b168137d7c30ceb17247014b00c9c354038db612e318f20"),
+    ("--preset Custom --seeds 4",
+     "2cf63d1dfd217b25947cb6ab5967fc573d394cb5d6d0d38e29d404395dfd8045"),
+    ("--preset Custom --scenario WorkersOnlyConsume --allocation IndependentBinomial "
+     "--seeds 4",
+     "e21684a2a96c35b7667c0abc33802411f60dddafe73b66722105f5840a8047a3"),
+    ("--preset Custom --scenario WorkersOnlyConsume --rounding PerUnit --seeds 4",
+     "44a87106583d7b787f0b1425abeeb2529ae206ce260a5b3b474c08f6e978efaa"),
+]
+
+
+@pytest.mark.parametrize("args,expected", FINGERPRINTS,
+                         ids=[f"{i}-{args.split()[1]}" for i, (args, _) in enumerate(FINGERPRINTS)])
+def test_manifest_fingerprint(args, expected, tmp_path, capsys):
+    assert cli.main(["run", *args.split(), "-o", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "manifest.csv").read_bytes()).hexdigest()
+    assert digest == expected
