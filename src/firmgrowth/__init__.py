@@ -3,9 +3,7 @@
 from .model import (
     Allocation,
     Economy,
-    FirmState,
     GrowthBatch,
-    GrowthRecord,
     MarketProbabilities,
     Metric,
     ModelConfig,
@@ -13,9 +11,8 @@ from .model import (
     Scenario,
     allocate_market,
     expected_margin,
-    per_unit_offer,
+    per_unit_offer_array,
     plan_production,
-    probabilistic_round,
     production,
     replace_extinct,
     required_workers,
@@ -28,7 +25,6 @@ from .baselines import (
     marsili_rank_prediction,
     step_additive,
     step_marsili_sequential,
-    step_multiplicative,
     step_scaled_beta,
 )
 from .analytics import (
@@ -40,14 +36,11 @@ from .analytics import (
     Histogram,
     SizeBinStats,
     SizeSnapshot,
-    bin_by_size,
     ccdf,
     central_tent_slope,
     default_tail_range,
-    deviation_histogram,
     fit_beta,
     fit_power_law_tail,
-    growth_histogram,
 )
 from .theory import (
     TheoryParams,

@@ -1,9 +1,10 @@
 """Distribution statistics: CCDF/rank-size curves, growth-rate histograms,
 power-law tail fits and the scaling exponent of growth-rate dispersion.
 
-All estimators work on plain arrays or on the growth batches emitted by the
-simulators. ``GrowthAccumulator`` ingests batches one iteration at a time so
-long runs never hold their full record stream in memory.
+All estimators work on plain arrays, on (size before, size after) array
+pairs or on the growth batches emitted by the simulators.
+``GrowthAccumulator`` ingests batches one iteration at a time so long runs
+never hold their full record stream in memory.
 """
 from __future__ import annotations
 
@@ -94,20 +95,17 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, se
 
 
-def _batch_arrays(records) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize record containers to (size_before, size_after) arrays."""
+def _filtered(records, min_size: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(size_before, size_after) of a :class:`GrowthBatch` or an array pair,
+    keeping the records of firms with ``min_size <= size_before`` and
+    ``size_before > 0`` (growth is undefined for empty firms)."""
     if isinstance(records, GrowthBatch):
-        return records.size_before, records.size_after
-    if isinstance(records, tuple) and len(records) == 2:
-        return np.asarray(records[0], float), np.asarray(records[1], float)
-    records = list(records)
-    if records and isinstance(records[0], GrowthBatch):
-        before = np.concatenate([b.size_before for b in records])
-        after = np.concatenate([b.size_after for b in records])
-        return before, after
-    before = np.asarray([r.size_before for r in records], dtype=float)
-    after = np.asarray([r.size_after for r in records], dtype=float)
-    return before, after
+        before, after = records.size_before, records.size_after
+    else:
+        before, after = (np.asarray(x, dtype=float) for x in records)
+    keep = before >= (min_size if min_size is not None else 0)
+    keep &= before > 0
+    return before[keep], after[keep]
 
 
 def ccdf(snapshot: SizeSnapshot) -> np.ndarray:
@@ -146,11 +144,14 @@ def fit_power_law_tail(ccdf_points, fit_range: tuple[float, float],
     """Tail exponent of a CCDF by two routes: log-log OLS and a Hill-type MLE.
 
     OLS regresses log P on log size over ``fit_range``; the reported exponent
-    is minus the slope. The MLE treats every observation above
-    ``fit_range[0]`` as tail data: alpha = 1 / mean(log(x / x_min)), weighted
-    by the point masses recovered from the CCDF, with standard error
-    alpha / sqrt(n_tail). Pass ``n_total`` (the population size behind the
-    CCDF) so the tail count and the MLE error are exact.
+    is minus the slope. Its ``std_error`` is the regression's residual
+    standard error of the slope. CCDF points are cumulative, hence strongly
+    correlated, so it is not a sampling error of the exponent. The MLE
+    treats every observation above ``fit_range[0]`` as tail data:
+    alpha = 1 / mean(log(x / x_min)), weighted by the point masses recovered
+    from the CCDF, with standard error alpha / sqrt(n_tail). Pass
+    ``n_total`` (the population size behind the CCDF) so the tail count and
+    the MLE error are exact.
     """
     pts = np.asarray(ccdf_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -235,10 +236,7 @@ class GrowthAccumulator:
         self._size_bins: dict[int, _BinAcc] = {}
 
     def update(self, records) -> None:
-        before, after = _batch_arrays(records)
-        keep = before >= (self.min_size if self.min_size is not None else 0)
-        keep &= before > 0  # growth undefined for empty firms
-        before, after = before[keep], after[keep]
+        before, after = _filtered(records, self.min_size)
         if before.size == 0:
             return
         g = after / before
@@ -263,6 +261,11 @@ class GrowthAccumulator:
             acc.hist += np.histogram(np.minimum(gk, self.edges[-1]), bins=self.edges)[0]
 
     def histogram(self) -> Histogram:
+        """Normalized density of growth rates g = size_after / size_before.
+
+        Linear bins over ``g_range`` plus one overflow bin when rates exceed
+        the range.
+        """
         if self.total == 0:
             raise ValueError("no growth records survive the size filter")
         edges, counts = self.edges, self.counts
@@ -287,6 +290,12 @@ class GrowthAccumulator:
         return slope
 
     def binned(self) -> list[SizeBinStats]:
+        """Growth dispersion per logarithmic size bin.
+
+        Each bin with at least ``min_count`` records reports the standard
+        deviation of g and the fitted tent slope of its growth histogram;
+        sparser bins are dropped.
+        """
         out = []
         bpd = self.bins_per_decade
         for k in sorted(self._size_bins):
@@ -303,36 +312,6 @@ class GrowthAccumulator:
                 geo_mean_size=math.exp(acc.sum_log_n / acc.count),
             ))
         return out
-
-
-def growth_histogram(records, bins: int = 101, min_size: float | None = 10,
-                     g_range: tuple[float, float] = (0.0, 2.0)) -> Histogram:
-    """Normalized density of growth rates g = size_after / size_before.
-
-    Linear bins over ``g_range`` plus one overflow bin when rates exceed the
-    range; records with size_before below ``min_size`` are dropped first.
-    """
-    acc = GrowthAccumulator(min_size=min_size, g_bins=bins, g_range=g_range)
-    acc.update(records)
-    return acc.histogram()
-
-
-def bin_by_size(records, bins_per_decade: float = 1.0,
-                min_size: float | None = None, min_count: int = 30,
-                tent_window: tuple[float, float] = (0.02, 0.5)) -> list[SizeBinStats]:
-    """Growth dispersion per logarithmic size bin.
-
-    Each bin with at least ``min_count`` records reports the standard
-    deviation of g and the fitted tent slope of its growth histogram; bins
-    below the count threshold are dropped.
-    """
-    acc = GrowthAccumulator(min_size=min_size, bins_per_decade=bins_per_decade,
-                            min_count=min_count, tent_window=tent_window)
-    acc.update(records)
-    out = acc.binned()
-    if not out:
-        raise ValueError(f"no size bin reaches {min_count} records")
-    return out
 
 
 def fit_beta(binned: Sequence[SizeBinStats]) -> FitResult:
@@ -368,10 +347,7 @@ class DeviationAccumulator:
         self.counts = np.zeros(n_bins, dtype=np.int64)
 
     def update(self, records) -> None:
-        before, after = _batch_arrays(records)
-        keep = before >= (self.min_size if self.min_size is not None else 0)
-        keep &= before > 0
-        before, after = before[keep], after[keep]
+        before, after = _filtered(records, self.min_size)
         if before.size == 0:
             return
         dev = np.abs(after / before - 1.0)
@@ -383,15 +359,6 @@ class DeviationAccumulator:
             raise ValueError("no growth deviations inside the histogram range")
         return Histogram(self.edges, self.counts / (total * np.diff(self.edges)),
                          BinScheme.LOGARITHMIC, total)
-
-
-def deviation_histogram(records, n_bins: int = 24,
-                        d_range: tuple[float, float] = (0.02, 0.45),
-                        min_size: float | None = None) -> Histogram:
-    """One-shot :class:`DeviationAccumulator` over a record collection."""
-    acc = DeviationAccumulator(n_bins=n_bins, d_range=d_range, min_size=min_size)
-    acc.update(records)
-    return acc.histogram()
 
 
 def central_tent_slope(hist: Histogram, window: tuple[float, float] = (0.02, 0.3)

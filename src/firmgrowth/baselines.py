@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GrowthBatch, Metric, round_array
+from .model import GrowthBatch, Metric, equal_split, round_array
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,8 @@ class BaselineConfig:
             raise ValueError("move_fraction must lie in (0, 1]")
 
     def initial_sizes(self, integer: bool = True) -> np.ndarray:
-        base, extra = divmod(self.n_workers, self.n_units)
         if integer:
-            sizes = np.full(self.n_units, base, dtype=np.int64)
-            sizes[:extra] += 1
-            return sizes
+            return equal_split(self.n_workers, self.n_units)
         return np.full(self.n_units, self.n_workers / self.n_units, dtype=float)
 
 
@@ -84,24 +81,16 @@ def step_additive(sizes, sigma: float, rng: np.random.Generator,
     return out
 
 
-def step_multiplicative(sizes, sigma: float, rng: np.random.Generator,
-                        replacement_mean: float = 1.5) -> np.ndarray:
-    """One step of purely multiplicative Gaussian noise, g ~ Normal(1, sigma^2).
-
-    Sizes are discrete; the probabilistic rounding of ``g * n`` plays the role
-    of the small additive term that keeps a stationary state, and units that
-    reach zero are replaced at ``replacement_mean``.
-    """
-    return step_scaled_beta(sizes, sigma * sigma, 0.0, rng, replacement_mean)
-
-
 def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
                      replacement_mean: float = 1.5) -> np.ndarray:
     """Multiplicative noise with size-dependent dispersion sigma(n) = sqrt(c) * n**-beta.
 
-    With ``beta = 0`` this is plain multiplicative noise; with ``beta = 0.5``
-    the post-step variance is ``c * n``, the same scaling the market model
-    produces without any market mechanics.
+    With ``beta = 0`` this is plain multiplicative noise, g ~ Normal(1, c):
+    the probabilistic rounding of ``g * n`` plays the role of the small
+    additive term that keeps a stationary state, and units that reach zero
+    are replaced at ``replacement_mean``. With ``beta = 0.5`` the post-step
+    variance is ``c * n``, the same scaling the market model produces
+    without any market mechanics.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -122,9 +111,7 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
 
 
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
-                            replacement_mean: float = 1.5,
-                            allow_self_move: bool = True
-                            ) -> tuple[np.ndarray, GrowthBatch]:
+                            replacement_mean: float = 1.5) -> tuple[np.ndarray, GrowthBatch]:
     """Sequential relocation dynamics: one worker moves at a time.
 
     Each elementary move picks a worker uniformly at random, removes it from
@@ -144,16 +131,14 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         raise ValueError("total population must be positive")
     if n_moves > total:
         raise ValueError(f"cannot move {n_moves} workers, only {total} exist")
-    before = sizes.astype(float).copy()
+    before = sizes.astype(float)
 
     for _ in range(n_moves):
         # Uniform worker pick == city pick proportional to size.
         origin = int(np.searchsorted(np.cumsum(sizes), rng.integers(total), side="right"))
         sizes[origin] -= 1
-        weights = sizes if allow_self_move else np.where(
-            np.arange(sizes.size) == origin, 0, sizes)
-        pool = int(weights.sum())
-        dest = int(np.searchsorted(np.cumsum(weights), rng.integers(pool), side="right"))
+        # Destination proportional to the total - 1 workers left in place.
+        dest = int(np.searchsorted(np.cumsum(sizes), rng.integers(total - 1), side="right"))
         sizes[dest] += 1
         if sizes[origin] == 0:
             # Refill from the other cities, worker by worker: every worker has
@@ -165,9 +150,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                 sizes[donor] -= 1
                 sizes[origin] += 1
 
-    mask = before > 0
-    batch = GrowthBatch(Metric.EMPLOYEES, before[mask], sizes.astype(float)[mask])
-    return sizes, batch
+    return sizes, GrowthBatch(Metric.EMPLOYEES, before, sizes)
 
 
 def marsili_rank_prediction(rank: int, m: float) -> float:

@@ -20,7 +20,8 @@ import numpy as np
 from . import analytics, io, theory
 from .baselines import (BaselineConfig, step_additive, step_marsili_sequential,
                         step_scaled_beta)
-from .model import (Allocation, Economy, Metric, ModelConfig, Rounding, Scenario)
+from .model import (Allocation, Economy, GrowthBatch, Metric, ModelConfig, Rounding,
+                    Scenario)
 from .rng import substream
 
 
@@ -102,14 +103,6 @@ def _parse_enum(enum_cls):
     return parse
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw)
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
-
-
 def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.replace(" ", "").split(",") if part]
 
@@ -117,24 +110,24 @@ def _parse_int_list(raw: str) -> list[int]:
 _PARSERS = {
     "preset": str,
     "output_dir": str,
-    "seed": _parse_int,
+    "seed": int,
     "seeds": _parse_int_list,
     "snapshot_times": _parse_int_list,
-    "workers": _parse_int,
-    "min_size": _parse_float,
-    "n_firms": _parse_int,
-    "n_workers": _parse_int,
-    "n_units": _parse_int,
-    "iterations": _parse_int,
-    "margin": _parse_float,
-    "wage": _parse_float,
-    "price": _parse_float,
-    "sigma": _parse_float,
-    "beta": _parse_float,
-    "replacement_low": _parse_float,
-    "replacement_high": _parse_float,
-    "replacement_mean": _parse_float,
-    "move_fraction": _parse_float,
+    "workers": int,
+    "min_size": float,
+    "n_firms": int,
+    "n_workers": int,
+    "n_units": int,
+    "iterations": int,
+    "margin": float,
+    "wage": float,
+    "price": float,
+    "sigma": float,
+    "beta": float,
+    "replacement_low": float,
+    "replacement_high": float,
+    "replacement_mean": float,
+    "move_fraction": float,
     "scenario": _parse_enum(Scenario),
     "rounding": _parse_enum(Rounding),
     "allocation": _parse_enum(Allocation),
@@ -194,7 +187,8 @@ def _resolve(mapping: dict[str, tuple[str, int]]) -> RunSpec:
         raise ConfigError("workers must be at least 1")
     if spec.min_size < 1:
         raise ConfigError("min_size must be at least 1")
-    materialize(spec, spec.seeds[0])  # fail early on invalid combinations
+    for seed in spec.seeds:  # fail before any output on invalid combinations
+        materialize(spec, seed)
     return spec
 
 
@@ -208,6 +202,8 @@ def materialize(spec: RunSpec, seed: int):
 
     Returns (kind, config) where kind names the simulator flavor.
     """
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed {seed} does not fit an unsigned 64-bit integer")
     preset = PRESETS[spec.preset]
     for key in spec.overrides:
         if key not in preset.keys:
@@ -231,31 +227,28 @@ def materialize(spec: RunSpec, seed: int):
     return preset.kind, cfg
 
 
-def _write_analytics(outdir: Path, snap: analytics.SizeSnapshot,
-                     acc: analytics.GrowthAccumulator) -> list[Path]:
-    files: list[Path] = []
-
+def _write_size_analytics(outdir: Path, snap: analytics.SizeSnapshot):
+    """Write ``ccdf.csv`` and, when the tail window holds enough firms,
+    ``fit.csv``. Returns the written paths and the tail fits (None if skipped)."""
     points = analytics.ccdf(snap)
-    path = outdir / "ccdf.csv"
-    io.write_ccdf(path, points)
-    files.append(path)
-
+    files = [outdir / "ccdf.csv"]
+    io.write_ccdf(files[0], points)
     try:
         window = analytics.default_tail_range(snap.sizes)
-        ols, mle = analytics.fit_power_law_tail(points, window, n_total=len(snap))
-        path = outdir / "fit.csv"
-        io.write_fits(path, [ols, mle])
-        files.append(path)
+        fits = analytics.fit_power_law_tail(points, window, n_total=len(snap))
     except ValueError:
-        pass  # too few firms in the tail window, nothing to report
+        return files, None  # too few firms in the tail window, nothing to report
+    files.append(outdir / "fit.csv")
+    io.write_fits(files[1], fits)
+    return files, fits
 
-    try:
-        hist = acc.histogram()
-    except ValueError:
-        hist = None
-    if hist is not None:
+
+def _write_analytics(outdir: Path, snap: analytics.SizeSnapshot,
+                     acc: analytics.GrowthAccumulator) -> list[Path]:
+    files, _ = _write_size_analytics(outdir, snap)
+    if acc.total:  # some growth records survived the size filter
         path = outdir / "growth_hist.csv"
-        io.write_growth_hist(path, hist)
+        io.write_growth_hist(path, acc.histogram())
         files.append(path)
 
     binned = acc.binned()
@@ -270,78 +263,58 @@ def _write_analytics(outdir: Path, snap: analytics.SizeSnapshot,
     return files
 
 
-def _simulate_model(cfg: ModelConfig, outdir: Path, snapshot_times: list[int],
-                    min_size: float) -> list[Path]:
-    economy = Economy(cfg)
-    metric = (Metric.EMPLOYEES if cfg.scenario is Scenario.FIRMS_CONSUME
-              else Metric.SALES)
-    acc = analytics.GrowthAccumulator(min_size=min_size)
-    snap_at = set(snapshot_times)
-    files: list[Path] = []
-    for _ in range(cfg.iterations):
-        for batch in economy.step():
-            if batch.metric is metric:
-                acc.update(batch)
-        if economy.time in snap_at:
-            path = outdir / f"snapshot_t{economy.time}.csv"
-            io.write_snapshot(path, economy.time, economy.size,
-                              economy.output, economy.sold)
-            files.append(path)
-    snap = analytics.SizeSnapshot.from_values(economy.time, economy.size)
-    return files + _write_analytics(outdir, snap, acc)
+def _stepper(kind: str, cfg):
+    """Step function of one simulator: ``advance(t)`` runs iteration t and
+    returns (growth batch, sizes, outputs, solds) after it."""
+    if kind == "model":
+        economy = Economy(cfg)
+        metric = (Metric.EMPLOYEES if cfg.scenario is Scenario.FIRMS_CONSUME
+                  else Metric.SALES)
 
+        def advance(t):
+            batch = next(b for b in economy.step() if b.metric is metric)
+            return batch, economy.size, economy.output, economy.sold
+        return advance
 
-def _simulate_baseline(kind: str, cfg: BaselineConfig, outdir: Path,
-                       snapshot_times: list[int], min_size: float) -> list[Path]:
-    acc = analytics.GrowthAccumulator(min_size=min_size)
-    snap_at = set(snapshot_times)
-    files: list[Path] = []
+    # Reference processes have no production cycle: outputs and solds are 0.
     zeros = np.zeros(cfg.n_units)
+    sizes = cfg.initial_sizes(integer=kind != "additive")
+    n_moves = max(1, round(cfg.move_fraction * cfg.n_workers))
+    beta = cfg.beta if kind == "scaled" else 0.0
 
-    if kind == "marsili":
-        sizes = cfg.initial_sizes()
-        n_moves = max(1, round(cfg.move_fraction * cfg.n_workers))
-        for t in range(cfg.iterations):
-            sizes, batch = step_marsili_sequential(
-                sizes, n_moves, substream(cfg.seed, 0, t), cfg.replacement_mean)
-            acc.update(batch)
-            if t + 1 in snap_at:
-                path = outdir / f"snapshot_t{t + 1}.csv"
-                io.write_snapshot(path, t + 1, sizes, zeros, zeros)
-                files.append(path)
-    else:
-        integer = kind != "additive"
-        sizes = cfg.initial_sizes(integer=integer)
-        for t in range(cfg.iterations):
-            rng = substream(cfg.seed, 0, t)
-            before = np.asarray(sizes, dtype=float)
-            if kind == "additive":
-                sizes = step_additive(sizes, cfg.sigma, rng, cfg.replacement_mean)
-            else:
-                beta = cfg.beta if kind == "scaled" else 0.0
-                sizes = step_scaled_beta(sizes, cfg.sigma ** 2, beta, rng,
-                                         cfg.replacement_mean)
-            mask = before > 0
-            acc.update((before[mask], np.asarray(sizes, dtype=float)[mask]))
-            if t + 1 in snap_at:
-                path = outdir / f"snapshot_t{t + 1}.csv"
-                io.write_snapshot(path, t + 1, sizes, zeros, zeros)
-                files.append(path)
-
-    snap = analytics.SizeSnapshot.from_values(cfg.iterations, sizes)
-    return files + _write_analytics(outdir, snap, acc)
+    def advance(t):
+        nonlocal sizes
+        rng = substream(cfg.seed, 0, t)
+        if kind == "marsili":
+            sizes, batch = step_marsili_sequential(sizes, n_moves, rng, cfg.replacement_mean)
+            return batch, sizes, zeros, zeros
+        before = sizes
+        if kind == "additive":
+            sizes = step_additive(sizes, cfg.sigma, rng, cfg.replacement_mean)
+        else:
+            sizes = step_scaled_beta(sizes, cfg.sigma ** 2, beta, rng, cfg.replacement_mean)
+        return GrowthBatch(Metric.EMPLOYEES, before, sizes), sizes, zeros, zeros
+    return advance
 
 
 def _seed_job(spec: RunSpec, seed: int) -> list[tuple[str, str]]:
     """Simulate one seed; returns (relative path, sha256) pairs."""
     kind, cfg = materialize(spec, seed)
-    times = spec.snapshot_times if spec.snapshot_times is not None else [cfg.iterations]
+    times = set(spec.snapshot_times if spec.snapshot_times is not None
+                else [cfg.iterations])
     seed_dir = spec.output_dir / f"seed_{seed:05d}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    if kind == "model":
-        paths = _simulate_model(cfg, seed_dir, times, spec.min_size)
-    else:
-        paths = _simulate_baseline(kind, cfg, seed_dir, times, spec.min_size)
+    advance = _stepper(kind, cfg)
+    acc = analytics.GrowthAccumulator(min_size=spec.min_size)
+    paths: list[Path] = []
+    for t in range(cfg.iterations):
+        batch, sizes, outputs, solds = advance(t)
+        acc.update(batch)
+        if t + 1 in times:
+            paths.append(seed_dir / f"snapshot_t{t + 1}.csv")
+            io.write_snapshot(paths[-1], t + 1, sizes, outputs, solds)
+    snap = analytics.SizeSnapshot.from_values(cfg.iterations, sizes)
+    paths += _write_analytics(seed_dir, snap, acc)
     return [(p.relative_to(spec.output_dir).as_posix(), io.sha256_file(p))
             for p in sorted(paths)]
 
@@ -391,17 +364,13 @@ def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
     outdir = output_dir if output_dir is not None else input_dir
     outdir.mkdir(parents=True, exist_ok=True)
 
-    points = analytics.ccdf(snap)
-    io.write_ccdf(outdir / "ccdf.csv", points)
-    print(f"wrote {outdir / 'ccdf.csv'} ({len(snap)} firms at t={t})")
-    try:
-        window = analytics.default_tail_range(snap.sizes)
-        ols, mle = analytics.fit_power_law_tail(points, window, n_total=len(snap))
-        io.write_fits(outdir / "fit.csv", [ols, mle])
-        print(f"wrote {outdir / 'fit.csv'} "
-              f"(alpha OLS {ols.exponent:.3f}, MLE {mle.exponent:.3f})")
-    except ValueError as exc:
-        print(f"tail fit skipped: {exc}")
+    files, fits = _write_size_analytics(outdir, snap)
+    print(f"wrote {files[0]} ({len(snap)} firms at t={t})")
+    if fits is None:
+        print("tail fit skipped: too few firms in the tail window")
+    else:
+        ols, mle = fits
+        print(f"wrote {files[1]} (alpha OLS {ols.exponent:.3f}, MLE {mle.exponent:.3f})")
     return 0
 
 

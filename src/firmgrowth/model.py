@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,29 +95,8 @@ class ModelConfig:
             raise ValueError("replacement_low must be at least 1")
         if self.replacement_high < self.replacement_low:
             raise ValueError("replacement_high must be >= replacement_low")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
-
-
-@dataclass
-class FirmState:
-    """Snapshot of one firm's dynamic quantities.
-
-    ``output`` is the exact production ``size * (wage/price) * (1 + margin)``.
-    Goods trade in units of one, so ``sold`` is an integer count and can
-    exceed ``output`` by less than one unit when the unbiased discretization
-    rounded the firm's production up; the same sub-unit granularity is what
-    lets small firms occasionally realize more than the expected margin.
-    """
-
-    size: int
-    job_offer: int
-    planned_output: float
-    output: float
-    sold: float
-    realized_margin: float
 
 
 @dataclass(frozen=True)
@@ -135,29 +113,11 @@ class MarketProbabilities:
     aggregate_output: float
 
 
-@dataclass(frozen=True)
-class GrowthRecord:
-    """One firm's (size before, size after) pair for one iteration."""
-
-    size_before: float
-    size_after: float
-    metric: Metric = Metric.EMPLOYEES
-
-    def __post_init__(self):
-        if not self.size_before > 0:
-            raise ValueError("size_before must be positive, growth is size_after/size_before")
-
-    @property
-    def growth_rate(self) -> float:
-        return self.size_after / self.size_before
-
-
 class GrowthBatch:
-    """Columnar batch of growth records for one iteration and one metric.
+    """Columnar (size before, size after) records for one iteration and one metric.
 
-    Equivalent to a list of :class:`GrowthRecord` but keeps the values as
-    arrays so long runs stay cheap; iterate or call :meth:`to_records` when
-    object views are wanted.
+    Records of firms that were empty before the iteration are dropped: their
+    growth rate ``size_after / size_before`` is undefined.
     """
 
     __slots__ = ("metric", "size_before", "size_after")
@@ -167,70 +127,54 @@ class GrowthBatch:
         after = np.asarray(size_after, dtype=float)
         if before.shape != after.shape:
             raise ValueError("size_before and size_after must have matching shapes")
-        if before.size and before.min() <= 0:
-            raise ValueError("size_before entries must be positive")
+        keep = before > 0
         self.metric = metric
-        self.size_before = before
-        self.size_after = after
-
-    def __len__(self) -> int:
-        return self.size_before.size
-
-    def __iter__(self):
-        return iter(self.to_records())
-
-    def growth_rates(self) -> np.ndarray:
-        return self.size_after / self.size_before
-
-    def to_records(self) -> list[GrowthRecord]:
-        return [
-            GrowthRecord(float(b), float(a), self.metric)
-            for b, a in zip(self.size_before, self.size_after)
-        ]
+        self.size_before = before[keep]
+        self.size_after = after[keep]
 
 
-def expected_margin(output: float, size: int, wage: float = 1.0, price: float = 1.0) -> float:
-    """Expected profit margin of a firm: (sales - expenses) / expenses."""
-    if size < 1:
+def expected_margin(output, size, wage: float = 1.0, price: float = 1.0):
+    """Profit margin (sales - expenses) / expenses of firms that sell ``output``
+    goods with ``size`` workers; scalars or arrays."""
+    if np.any(size < 1):
         raise ValueError("margin is undefined for a firm with no employees")
     return (output * price - size * wage) / (size * wage)
 
 
-def required_workers(planned_output: float, margin: float, wage: float = 1.0,
-                     price: float = 1.0) -> float:
+def required_workers(planned_output, margin: float, wage: float = 1.0, price: float = 1.0):
     """Workers needed to produce ``planned_output`` goods at the expected margin.
 
     Inverse of :func:`production`; may be fractional, callers round it.
     """
-    if planned_output < 0:
+    if np.any(planned_output < 0):
         raise ValueError("planned_output must be non-negative")
     if margin <= -1.0:
         raise ValueError("margin must exceed -1")
     return planned_output * (price / wage) / (1.0 + margin)
 
 
-def production(size: int, margin: float, wage: float = 1.0, price: float = 1.0) -> float:
-    """Goods a firm with ``size`` workers produces in one iteration."""
+def production(size, margin: float, wage: float = 1.0, price: float = 1.0):
+    """Goods that firms with ``size`` workers produce in one iteration."""
     return size * (wage / price) * (1.0 + margin)
 
 
-def plan_production(prev_output: float, prev_realized_margin: float) -> float:
+def plan_production(prev_output, prev_realized_margin):
     """Next production target: last output scaled by realized profitability."""
-    if prev_output < 0:
+    if np.any(prev_output < 0):
         raise ValueError("prev_output must be non-negative")
-    return max(prev_output * (1.0 + prev_realized_margin), 0.0)
+    return np.maximum(prev_output * (1.0 + prev_realized_margin), 0.0)
 
 
-def probabilistic_round(x: float, rng: np.random.Generator) -> int:
-    """Round up with probability frac(x), down otherwise. Unbiased: E[result] = x."""
-    if x < 0:
-        raise ValueError("cannot round a negative quantity")
-    lo = math.floor(x)
-    return int(lo) + int(rng.random() < x - lo)
+def equal_split(total: int, n: int) -> np.ndarray:
+    """``n`` integer sizes summing to ``total``; the remainder goes to the first ones."""
+    base, extra = divmod(total, n)
+    sizes = np.full(n, base, dtype=np.int64)
+    sizes[:extra] += 1
+    return sizes
 
 
 def round_array(x, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized :func:`probabilistic_round`."""
+    """Round up with probability frac(x), down otherwise. Unbiased: E[result] = x."""
     x = np.asarray(x, dtype=float)
     if x.size and x.min() < 0:
         raise ValueError("cannot round negative quantities")
@@ -238,19 +182,13 @@ def round_array(x, rng: np.random.Generator) -> np.ndarray:
     return (lo + (rng.random(x.shape) < x - lo)).astype(np.int64)
 
 
-def per_unit_offer(size: int, margin: float, rng: np.random.Generator) -> int:
-    """Job offer when every existing position doubles independently.
+def per_unit_offer_array(sizes, margin: float, rng: np.random.Generator) -> np.ndarray:
+    """Job offers when every existing position doubles independently.
 
-    Each of the firm's ``size`` positions is offered twice with probability
-    ``margin`` and once otherwise, so the result lies in [size, 2*size] with
+    Each of a firm's ``size`` positions is offered twice with probability
+    ``margin`` and once otherwise, so an offer lies in [size, 2*size] with
     expectation ``size * (1 + margin)``.
     """
-    if size < 0:
-        raise ValueError("size must be non-negative")
-    return int(per_unit_offer_array(np.asarray([size], dtype=np.int64), margin, rng)[0])
-
-
-def per_unit_offer_array(sizes, margin: float, rng: np.random.Generator) -> np.ndarray:
     if not 0.0 <= margin <= 1.0:
         raise ValueError("per-unit doubling requires margin in [0, 1]")
     sizes = np.asarray(sizes, dtype=np.int64)
@@ -286,20 +224,19 @@ def allocate_market(demands, supply: int, mode: Allocation,
 class Economy:
     """Mutable simulation state: one fixed-length firm population.
 
-    Firm quantities are stored as parallel arrays for speed;
-    :attr:`firms` / :meth:`firm` expose per-firm :class:`FirmState` views.
-    Randomness is derived from ``config.seed`` and the iteration counter, so
-    a trajectory is a pure function of the configuration.
+    Firm quantities are stored as parallel arrays. ``output`` is the exact
+    production; goods trade in units of one, so ``sold`` is an integer count
+    that can exceed ``output`` by less than one unit when the unbiased
+    discretization rounded the production up. Randomness is derived from
+    ``config.seed`` and the iteration counter, so a trajectory is a pure
+    function of the configuration.
     """
 
     def __init__(self, config: ModelConfig, initial_sizes=None):
         self.config = config
         n = config.n_firms
         if initial_sizes is None:
-            # Equal split of the workforce; remainder goes to the first firms.
-            base, extra = divmod(config.n_workers, n)
-            sizes = np.full(n, base, dtype=np.int64)
-            sizes[:extra] += 1
+            sizes = equal_split(config.n_workers, n)
         else:
             sizes = np.asarray(initial_sizes, dtype=np.int64).copy()
             if sizes.shape != (n,):
@@ -309,8 +246,7 @@ class Economy:
         w, p = config.wage, config.price
         self.size = sizes
         self.job_offer = np.zeros(n, dtype=np.int64)
-        self.output = sizes * (w / p) * (1.0 + config.margin)
-        self.planned_output = self.output.copy()
+        self.output = production(sizes, config.margin, w, p)
         # Prior-period sales at their no-shortage expectation; only used to
         # seed the first planning step and the first sales growth record.
         self.sold = sizes * (w / p)
@@ -320,25 +256,6 @@ class Economy:
         self.replaced_last = 0
         self.last_replaced = np.empty(0, dtype=np.int64)
         self.market: MarketProbabilities | None = None
-
-    @property
-    def rng_state(self) -> tuple[int, int]:
-        """Derivation state of the deterministic stream: (seed, iteration)."""
-        return (self.config.seed, self.time)
-
-    @property
-    def firms(self) -> list[FirmState]:
-        return [self.firm(i) for i in range(self.config.n_firms)]
-
-    def firm(self, i: int) -> FirmState:
-        return FirmState(
-            size=int(self.size[i]),
-            job_offer=int(self.job_offer[i]),
-            planned_output=float(self.planned_output[i]),
-            output=float(self.output[i]),
-            sold=float(self.sold[i]),
-            realized_margin=float(self.realized_margin[i]),
-        )
 
     def step(self) -> list[GrowthBatch]:
         """Advance one iteration; returns the growth records it generated."""
@@ -377,17 +294,13 @@ def step_scenario_i(economy: Economy) -> list[GrowthBatch]:
     fill = min(1.0, cfg.n_workers / total_offers) if total_offers > 0 else 1.0
 
     # Demand always suffices here: the whole production is sold.
-    economy.output = economy.size * (w / p) * (1.0 + mu)
-    economy.planned_output = economy.output.copy()
+    economy.output = production(economy.size, mu, w, p)
     economy.sold = economy.output.copy()
     economy.realized_margin = np.where(economy.size > 0, mu, 0.0)
     q_total = float(economy.output.sum())
     economy.market = MarketProbabilities(fill, 1.0, q_total, q_total)
 
-    mask = size_before > 0
-    batch = GrowthBatch(Metric.EMPLOYEES,
-                        size_before[mask].astype(float),
-                        economy.size[mask].astype(float))
+    batch = GrowthBatch(Metric.EMPLOYEES, size_before, economy.size)
 
     economy.replaced_last = replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
     economy.time += 1
@@ -419,9 +332,8 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
         prev_units = np.rint(economy.sold).astype(np.int64)
         planned = (prev_units + plan_rng.binomial(prev_units, mu)).astype(float)
     else:
-        planned = np.maximum(economy.output * (1.0 + economy.realized_margin), 0.0)
-    economy.planned_output = planned
-    economy.job_offer = round_array(planned * (p / w) / (1.0 + mu), plan_rng)
+        planned = plan_production(economy.output, economy.realized_margin)
+    economy.job_offer = round_array(required_workers(planned, mu, w, p), plan_rng)
 
     replaced = replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
 
@@ -436,7 +348,7 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     economy.employed = int(hired.sum())
     fill = min(1.0, cfg.n_workers / total_offers) if total_offers > 0 else 1.0
 
-    economy.output = economy.size * (w / p) * (1.0 + mu)
+    economy.output = production(economy.size, mu, w, p)
     # Goods are traded in units of one: the fractional production is rounded
     # unbiasedly for the market, while planning keeps the exact quantity
     # (otherwise the aggregate job offer, hence employment, would drift).
@@ -450,23 +362,18 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     economy.sold = sold.astype(float)
     sell = min(1.0, demand_units / supply_units) if supply_units > 0 else 1.0
     economy.realized_margin = np.where(
-        economy.size > 0,
-        (economy.sold * p - economy.size * w) / (np.maximum(economy.size, 1) * w),
-        0.0,
-    )
+        economy.size > 0, expected_margin(economy.sold, np.maximum(economy.size, 1), w, p), 0.0)
     economy.market = MarketProbabilities(fill, sell, float(demand_units), float(supply_units))
 
-    # A replaced firm's employee trajectory ends at zero; its fresh start is
-    # not a growth observation (the rebirth record would have size_before 0).
+    # A replaced firm's trajectories end at zero: the entrant that takes its
+    # slot is a different firm, and its first sizes are not growth of the old one.
     emp_after = economy.size.astype(float)
-    if replaced:
-        emp_after = emp_after.copy()
-        emp_after[economy.last_replaced] = 0.0
-    emp_mask = size_before > 0
-    sales_mask = sold_before > 0
+    sales_after = economy.sold.copy()
+    emp_after[economy.last_replaced] = 0.0
+    sales_after[economy.last_replaced] = 0.0
     batches = [
-        GrowthBatch(Metric.EMPLOYEES, size_before[emp_mask].astype(float), emp_after[emp_mask]),
-        GrowthBatch(Metric.SALES, sold_before[sales_mask], economy.sold[sales_mask]),
+        GrowthBatch(Metric.EMPLOYEES, size_before, emp_after),
+        GrowthBatch(Metric.SALES, sold_before, sales_after),
     ]
 
     economy.replaced_last = replaced
@@ -496,7 +403,6 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
             return 0
         economy.size[idx] = round_array(rng.uniform(lo, hi, idx.size), rng)
         economy.output[idx] = 0.0
-        economy.planned_output[idx] = 0.0
         economy.sold[idx] = 0.0
         economy.realized_margin[idx] = 0.0
         return int(idx.size)

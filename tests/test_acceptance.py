@@ -203,9 +203,12 @@ def test_criterion_11_binning_robustness():
     rng = np.random.default_rng(11)
     n = 10 ** rng.uniform(1, 5, 500_000)
     g = rng.normal(1.0, np.sqrt(0.1 / n))
-    records = (n, n * g)
-    decade = analytics.fit_beta(analytics.bin_by_size(records, bins_per_decade=1.0))
-    half = analytics.fit_beta(analytics.bin_by_size(records, bins_per_decade=2.0))
+    betas = []
+    for bins_per_decade in (1.0, 2.0):
+        acc = GrowthAccumulator(min_size=None, bins_per_decade=bins_per_decade)
+        acc.update((n, n * g))
+        betas.append(analytics.fit_beta(acc.binned()))
+    decade, half = betas
     gap = abs(decade.exponent - half.exponent)
     report(11, "binning robustness", gap < 0.05,
            f"beta {decade.exponent:.4f} (decade bins) vs {half.exponent:.4f} "

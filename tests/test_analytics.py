@@ -8,19 +8,32 @@ from hypothesis import strategies as st
 
 from firmgrowth.analytics import (
     BinScheme,
+    DeviationAccumulator,
     FitMethod,
     GrowthAccumulator,
     SizeSnapshot,
-    bin_by_size,
     ccdf,
     central_tent_slope,
     default_tail_range,
-    deviation_histogram,
     fit_beta,
     fit_power_law_tail,
-    growth_histogram,
 )
-from firmgrowth.model import GrowthBatch, GrowthRecord, Metric
+from firmgrowth.model import GrowthBatch, Metric
+
+
+def fed(acc, records):
+    """The accumulator after one update with ``records``."""
+    acc.update(records)
+    return acc
+
+
+def growth_histogram(records, min_size):
+    return fed(GrowthAccumulator(min_size=min_size), records).histogram()
+
+
+def bin_by_size(records, bins_per_decade=1.0):
+    return fed(GrowthAccumulator(min_size=None, bins_per_decade=bins_per_decade),
+               records).binned()
 
 
 class TestCcdf:
@@ -92,7 +105,7 @@ class TestTailFits:
 
 class TestGrowthHistogram:
     def test_single_record_concentrates(self):
-        hist = growth_histogram([GrowthRecord(50, 50)], min_size=10)
+        hist = growth_histogram(([50.0], [50.0]), min_size=10)
         idx = np.searchsorted(hist.bin_edges, 1.0) - 1
         width = hist.widths()[idx]
         assert hist.densities[idx] == pytest.approx(1.0 / width)
@@ -113,7 +126,7 @@ class TestGrowthHistogram:
 
     def test_all_records_filtered_rejected(self):
         with pytest.raises(ValueError):
-            growth_histogram([GrowthRecord(2, 3)], min_size=10)
+            growth_histogram(([2.0], [3.0]), min_size=10)
 
     def test_overflow_bin_captures_large_rates(self):
         hist = growth_histogram((np.full(10, 100.0), np.full(10, 350.0)), min_size=1)
@@ -175,8 +188,7 @@ class TestSizeBinning:
         assert [b.count for b in binned] == [100]
 
     def test_no_qualifying_bin_rejected(self):
-        with pytest.raises(ValueError):
-            bin_by_size((np.full(10, 50.0), np.full(10, 51.0)))
+        assert bin_by_size((np.full(10, 50.0), np.full(10, 51.0))) == []
 
 
 class TestFitBeta:
@@ -220,7 +232,7 @@ class TestTentShape:
         c = 2.0
         n = 10 ** rng.uniform(0, 8, 1_500_000)
         g = 1.0 + rng.standard_normal(n.size) * np.sqrt(c / n)
-        hist = deviation_histogram((n, g * n))
+        hist = fed(DeviationAccumulator(), (n, g * n)).histogram()
         slope, _, used = central_tent_slope(hist, (0.02, 0.3))
         assert used >= 15
         assert slope == pytest.approx(-1.0, abs=0.2)
@@ -229,13 +241,13 @@ class TestTentShape:
         rng = np.random.default_rng(9)
         n = np.full(50_000, 40.0)
         g = rng.normal(1.0, 0.2, n.size)
-        hist = deviation_histogram((n, g * n))
+        hist = fed(DeviationAccumulator(), (n, g * n)).histogram()
         assert hist.bin_scheme is BinScheme.LOGARITHMIC
         assert float(hist.densities @ hist.widths()) == pytest.approx(1.0)
 
     def test_slope_window_needs_population(self):
-        hist = deviation_histogram((np.full(100, 1000.0), np.full(100, 1001.0)),
-                                   d_range=(0.0005, 0.45))
+        hist = fed(DeviationAccumulator(d_range=(0.0005, 0.45)),
+                   (np.full(100, 1000.0), np.full(100, 1001.0))).histogram()
         with pytest.raises(ValueError):
             central_tent_slope(hist, (0.1, 0.3))
 
@@ -262,19 +274,15 @@ class TestAccumulatorStreaming:
             assert a.sigma_g == pytest.approx(b.sigma_g, rel=1e-9)
             assert a.geo_mean_size == pytest.approx(b.geo_mean_size, rel=1e-9)
 
-    def test_accepts_record_objects_and_batches(self):
-        records = [GrowthRecord(20.0, 22.0), GrowthRecord(40.0, 36.0)]
-        batch = GrowthBatch(Metric.EMPLOYEES, [20.0, 40.0], [22.0, 36.0])
-        h1 = growth_histogram(records, min_size=1)
+    def test_accepts_batches_and_pairs(self):
+        pair = (np.array([20.0, 40.0]), np.array([22.0, 36.0]))
+        batch = GrowthBatch(Metric.EMPLOYEES, *pair)
+        h1 = growth_histogram(pair, min_size=1)
         h2 = growth_histogram(batch, min_size=1)
-        h3 = growth_histogram([batch], min_size=1)
         assert np.array_equal(h1.densities, h2.densities)
-        assert np.array_equal(h2.densities, h3.densities)
 
-    def test_growth_batch_round_trip(self):
-        batch = GrowthBatch(Metric.SALES, [10.0, 5.0], [11.0, 0.0])
-        records = batch.to_records()
-        assert [r.growth_rate for r in records] == [1.1, 0.0]
-        assert all(r.metric is Metric.SALES for r in records)
+    def test_growth_batch_drops_empty_firms(self):
+        batch = GrowthBatch(Metric.SALES, [10.0, 0.0, 5.0], [11.0, 3.0, 0.0])
+        assert (batch.size_after / batch.size_before).tolist() == [1.1, 0.0]
         with pytest.raises(ValueError):
-            GrowthBatch(Metric.SALES, [0.0], [1.0])
+            GrowthBatch(Metric.SALES, [1.0, 2.0], [1.0])

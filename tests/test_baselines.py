@@ -12,7 +12,6 @@ from firmgrowth import (
     marsili_rank_prediction,
     step_additive,
     step_marsili_sequential,
-    step_multiplicative,
     step_scaled_beta,
 )
 from firmgrowth.rng import substream
@@ -45,15 +44,17 @@ class TestAdditive:
 
 
 class TestMultiplicative:
+    """``step_scaled_beta`` at beta 0: g ~ Normal(1, sigma^2)."""
+
     def test_vanishing_noise_changes_nothing(self):
         sizes = np.array([10, 20, 50], dtype=np.int64)
-        out = step_multiplicative(sizes, 1e-12, substream(4, 0))
+        out = step_scaled_beta(sizes, 1e-24, 0.0, substream(4, 0))
         assert np.abs(out - sizes).max() <= 1
 
     def test_growth_factor_mean_is_one(self):
         rng = substream(5, 0)
         sizes = np.full(50_000, 100, dtype=np.int64)
-        out = step_multiplicative(sizes, 0.2, rng)
+        out = step_scaled_beta(sizes, 0.2**2, 0.0, rng)
         g = out / sizes
         se = g.std(ddof=1) / math.sqrt(g.size)
         assert abs(g.mean() - 1.0) < 4 * se
@@ -61,14 +62,8 @@ class TestMultiplicative:
     def test_extinct_units_replaced(self):
         rng = substream(6, 0)
         sizes = np.ones(20_000, dtype=np.int64)
-        out = step_multiplicative(sizes, 0.9, rng)
+        out = step_scaled_beta(sizes, 0.9**2, 0.0, rng)
         assert (out >= 1).all()
-
-    def test_is_scaled_process_at_beta_zero(self):
-        sizes = np.geomspace(1, 1000, 64).astype(np.int64)
-        a = step_multiplicative(sizes, 0.3, substream(7, 0))
-        b = step_scaled_beta(sizes, 0.3**2, 0.0, substream(7, 0))
-        assert np.array_equal(a, b)
 
 
 class TestScaledBeta:
@@ -82,9 +77,9 @@ class TestScaledBeta:
             after = step_scaled_beta(sizes, c, 0.5, rng)
             before_all.append(sizes.astype(float))
             after_all.append(after.astype(float))
-        binned = analytics.bin_by_size(
-            (np.concatenate(before_all), np.concatenate(after_all)))
-        beta = analytics.fit_beta(binned)
+        acc = analytics.GrowthAccumulator(min_size=None)
+        acc.update((np.concatenate(before_all), np.concatenate(after_all)))
+        beta = analytics.fit_beta(acc.binned())
         assert abs(beta.exponent - 0.5) < 0.05
 
     def test_per_bin_variance_times_size_constant(self):

@@ -171,6 +171,13 @@ class TestMainEntry:
     def test_bad_flag_exit_code(self, capsys):
         assert cli.main(["run", "--not-a-flag", "1"]) == 1
 
+    @pytest.mark.parametrize("preset", ["Custom", "Additive"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_is_config_error(self, preset, seed, tmp_path, capsys):
+        assert cli.main(["run", "--preset", preset, "--seed", seed, "-o", str(tmp_path)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # nothing written
+
     def test_analyze_round_trip(self, tmp_path, capsys):
         out = tmp_path / "out"
         cli.main(["run", "--preset", "Custom", "--n-firms", "40",

@@ -10,9 +10,8 @@ from firmgrowth import (
     Allocation,
     allocate_market,
     expected_margin,
-    per_unit_offer,
+    per_unit_offer_array,
     plan_production,
-    probabilistic_round,
     production,
     required_workers,
     round_array,
@@ -60,11 +59,25 @@ class TestAccounting:
         assert plan_production(10, -0.05) == pytest.approx(9.5)
         assert plan_production(10, -1.5) == 0.0  # floored at zero
 
+    def test_array_valued_with_vectorized_checks(self):
+        size = np.array([10, 20])
+        q = production(size, 0.1, 1.3, 0.9)
+        assert q == pytest.approx([production(10, 0.1, 1.3, 0.9), production(20, 0.1, 1.3, 0.9)])
+        assert required_workers(q, 0.1, 1.3, 0.9) == pytest.approx(size)
+        assert expected_margin(q, size, 1.3, 0.9) == pytest.approx([0.1, 0.1])
+        assert plan_production(np.array([10.0, 10.0]), np.array([0.1, -1.5])) \
+            == pytest.approx([11.0, 0.0])
+        with pytest.raises(ValueError):
+            expected_margin(np.ones(2), np.array([1, 0]))
+        with pytest.raises(ValueError):
+            required_workers(np.array([1.0, -1.0]), 0.1)
+        with pytest.raises(ValueError):
+            plan_production(np.array([1.0, -1.0]), np.zeros(2))
+
 
 class TestProbabilisticRound:
     def test_integer_input_is_fixed_point(self):
-        rng = substream(1, 0)
-        assert all(probabilistic_round(3.0, rng) == 3 for _ in range(200))
+        assert (round_array(np.full(200, 3.0), substream(1, 0)) == 3).all()
 
     def test_split_at_fraction(self):
         rng = substream(2, 0)
@@ -82,23 +95,23 @@ class TestProbabilisticRound:
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            probabilistic_round(-0.1, substream(4, 0))
+            round_array([2.0, -0.1], substream(4, 0))
 
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False), st.integers(0, 2**32))
     @settings(max_examples=200)
     def test_result_is_adjacent_integer(self, x, seed):
-        got = probabilistic_round(x, substream(seed, 0))
+        (got,) = round_array([x], substream(seed, 0))
         assert got in (math.floor(x), math.ceil(x))
 
 
 class TestPerUnitOffer:
     def test_empty_firm(self):
-        assert per_unit_offer(0, 0.1, substream(5, 0)) == 0
+        assert per_unit_offer_array([0], 0.1, substream(5, 0)).tolist() == [0]
 
     def test_single_position_doubling_rate(self):
         rng = substream(6, 0)
         n = 100_000
-        draws = np.array([per_unit_offer(1, 0.1, rng) for _ in range(2000)])
+        draws = per_unit_offer_array(np.ones(2000), 0.1, rng)
         assert set(np.unique(draws)) <= {1, 2}
         offers = 1 + rng.binomial(np.ones(n, dtype=np.int64), 0.1)
         up = (offers == 2).mean()
@@ -118,12 +131,12 @@ class TestPerUnitOffer:
     @given(st.integers(0, 500), st.floats(0, 1), st.integers(0, 2**32))
     @settings(max_examples=200)
     def test_offer_bounds(self, size, margin, seed):
-        offer = per_unit_offer(size, margin, substream(seed, 0))
+        (offer,) = per_unit_offer_array([size], margin, substream(seed, 0))
         assert size <= offer <= 2 * size
 
     def test_margin_domain(self):
         with pytest.raises(ValueError):
-            per_unit_offer(3, 1.5, substream(8, 0))
+            per_unit_offer_array([3], 1.5, substream(8, 0))
 
 
 class TestAllocateMarket:

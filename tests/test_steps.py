@@ -38,7 +38,7 @@ class TestScenarioI:
         economy = Economy(cfg)
         for _ in range(10):
             (batch,) = economy.step()
-            assert batch.growth_rates().tolist() == [1.0]
+            assert batch.size_after.tolist() == batch.size_before.tolist() == [100.0]
         assert economy.size.tolist() == [100]
 
     def test_mean_preservation(self):
@@ -151,6 +151,22 @@ class TestScenarioII:
         for batch in batches:
             assert (batch.size_before > 0).all()
 
+    def test_replaced_firms_sales_end_at_zero(self):
+        # below-cost prices let a firm that sold something die; its SALES record
+        # must end at 0 instead of continuing with the entrant's first sales
+        cfg = ModelConfig(n_firms=300, n_workers=6000, margin=0.1, wage=1.0, price=0.5,
+                          scenario=Scenario.WORKERS_ONLY_CONSUME, seed=5, iterations=400)
+        economy = Economy(cfg)
+        ended = joined = 0
+        for _ in range(cfg.iterations):
+            firms = np.flatnonzero(economy.sold > 0)  # order of the SALES records
+            _, sales = economy.step()
+            replaced = np.isin(firms, economy.last_replaced)
+            ended += int((replaced & (sales.size_after == 0)).sum())
+            joined += int((replaced & (sales.size_after > 0)).sum())
+        assert ended > 0
+        assert joined == 0
+
     def test_realized_margin_capped_by_unit_granularity(self, economy):
         econ, _ = economy
         alive = econ.size > 0
@@ -259,15 +275,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ModelConfig(replacement_low=2.0, replacement_high=1.0)
 
-    def test_firm_state_view(self):
+    def test_output_follows_size_after_step(self):
         cfg = ModelConfig(n_firms=4, n_workers=100, seed=15)
         economy = Economy(cfg)
         economy.step()
-        firm = economy.firm(0)
-        assert firm.size == economy.size[0]
-        assert firm.output == pytest.approx(firm.size * 1.1)
-        assert len(economy.firms) == 4
-        assert economy.rng_state == (15, 1)
+        assert economy.output == pytest.approx(economy.size * 1.1)
+        assert economy.time == 1
 
     def test_initial_sizes_override(self):
         cfg = ModelConfig(n_firms=3, n_workers=30, seed=16)
