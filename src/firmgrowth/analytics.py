@@ -1,10 +1,9 @@
 """Distribution statistics: CCDF/rank-size curves, growth-rate histograms,
 power-law tail fits and the scaling exponent of growth-rate dispersion.
 
-All estimators work on plain arrays, on (size before, size after) array
-pairs or on the growth batches emitted by the simulators.
-``GrowthAccumulator`` ingests batches one iteration at a time so long runs
-never hold their full record stream in memory.
+The size estimators work on plain arrays; the growth accumulators ingest the
+growth batches emitted by the simulators one iteration at a time, so long
+runs never hold their full record stream in memory.
 """
 from __future__ import annotations
 
@@ -95,17 +94,10 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, se
 
 
-def _filtered(records, min_size: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(size_before, size_after) of a :class:`GrowthBatch` or an array pair,
-    keeping the records of firms with ``min_size <= size_before`` and
-    ``size_before > 0`` (growth is undefined for empty firms)."""
-    if isinstance(records, GrowthBatch):
-        before, after = records.size_before, records.size_after
-    else:
-        before, after = (np.asarray(x, dtype=float) for x in records)
-    keep = before >= (min_size if min_size is not None else 0)
-    keep &= before > 0
-    return before[keep], after[keep]
+def _filtered(batch: GrowthBatch, min_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """(size_before, size_after) of the records with ``min_size <= size_before``."""
+    keep = batch.size_before >= min_size
+    return batch.size_before[keep], batch.size_after[keep]
 
 
 def ccdf(snapshot: SizeSnapshot) -> np.ndarray:
@@ -199,117 +191,118 @@ class SizeBinStats:
     geo_mean_size: float
 
 
-class _BinAcc:
-    __slots__ = ("count", "sum_g", "sum_g2", "sum_log_n", "hist")
+# Growth-rate histogram: linear bins over [0, _G_MAX]; rates above _G_MAX go
+# to an overflow bin. Size bins with fewer than _MIN_COUNT records are not
+# reported, and the tent slope is read inside _TENT_WINDOW of |g - 1|.
+_G_BINS = 101
+_G_MAX = 2.0
+_EDGES = np.linspace(0.0, _G_MAX, _G_BINS + 1)
+_TENT_WINDOW = (0.02, 0.5)
+_MIN_COUNT = 30
 
-    def __init__(self, n_hist_bins: int):
-        self.count = 0
-        self.sum_g = 0.0
-        self.sum_g2 = 0.0
-        self.sum_log_n = 0.0
-        self.hist = np.zeros(n_hist_bins, dtype=np.int64)
+
+def _tent_slope(hist_counts: np.ndarray, count: int) -> float:
+    # Log density against |g - 1| inside the tent window; the slope is the
+    # Laplacian-style decay rate used to read off sigma(n) from plots.
+    dev = np.abs(0.5 * (_EDGES[:-1] + _EDGES[1:]) - 1.0)
+    widths = np.diff(_EDGES)
+    lo, hi = _TENT_WINDOW
+    sel = (dev >= lo) & (dev <= hi) & (hist_counts > 0)
+    if sel.sum() < 3:
+        return float("nan")
+    dens = hist_counts[sel] / (count * widths[sel])
+    slope, _, _ = _ols(dev[sel], np.log(dens))
+    return slope
 
 
 class GrowthAccumulator:
     """Streaming growth statistics: aggregate histogram plus per-size-bin
     dispersion, with memory independent of the number of records.
 
-    ``min_size`` drops records of firms below the threshold; their growth
-    rates only take a handful of discrete values and would distort both the
-    histogram and the dispersion estimates.
+    One table holds a row per logarithmic size bin: the counts of its growth
+    rates per histogram bin (rates above ``_G_MAX`` clamped into the last
+    one), then the sums of g, g**2 and log(size). ``min_size`` drops records
+    of firms below the threshold; their growth rates only take a handful of
+    discrete values and would distort both the histogram and the dispersion
+    estimates.
     """
 
-    def __init__(self, min_size: float | None = 10, g_bins: int = 101,
-                 g_range: tuple[float, float] = (0.0, 2.0),
-                 bins_per_decade: float = 1.0,
-                 tent_window: tuple[float, float] = (0.02, 0.5),
-                 min_count: int = 30):
+    def __init__(self, min_size: float = 10, bins_per_decade: float = 1.0):
         self.min_size = min_size
-        self.edges = np.linspace(g_range[0], g_range[1], g_bins + 1)
-        self.counts = np.zeros(g_bins, dtype=np.int64)
-        self.overflow = 0
-        self.g_max = float(g_range[1])
-        self.total = 0
         self.bins_per_decade = float(bins_per_decade)
-        self.tent_window = tent_window
-        self.min_count = min_count
-        self._size_bins: dict[int, _BinAcc] = {}
+        self.overflow = 0
+        self.g_max = _G_MAX
+        self._k0 = 0  # size bin of the table's first row; the table grows both ways
+        self._table = np.zeros((0, _G_BINS + 3))
 
-    def update(self, records) -> None:
-        before, after = _filtered(records, self.min_size)
+    @property
+    def total(self) -> int:
+        return int(self._table[:, :_G_BINS].sum())
+
+    def update(self, batch: GrowthBatch) -> None:
+        before, after = _filtered(batch, self.min_size)
         if before.size == 0:
             return
         g = after / before
-        self.total += g.size
-        over = g > self.edges[-1]
+        over = g > _G_MAX
         if over.any():
             self.overflow += int(over.sum())
             self.g_max = max(self.g_max, float(g[over].max()))
-        self.counts += np.histogram(g[~over], bins=self.edges)[0]
+        g_bin = np.minimum(np.searchsorted(_EDGES, g, side="right") - 1, _G_BINS - 1)
 
-        ks = np.floor(self.bins_per_decade * np.log10(before)).astype(int)
-        for k in np.unique(ks):
-            acc = self._size_bins.get(int(k))
-            if acc is None:
-                acc = self._size_bins[int(k)] = _BinAcc(self.edges.size - 1)
-            sel = ks == k
-            gk = g[sel]
-            acc.count += gk.size
-            acc.sum_g += float(gk.sum())
-            acc.sum_g2 += float((gk * gk).sum())
-            acc.sum_log_n += float(np.log(before[sel]).sum())
-            acc.hist += np.histogram(np.minimum(gk, self.edges[-1]), bins=self.edges)[0]
+        ks = np.floor(self.bins_per_decade * np.log10(before)).astype(np.int64)
+        rows = ks - self._k0
+        below = max(-int(rows.min()), 0)
+        above = max(int(rows.max()) + 1 - len(self._table), 0)
+        if below or above:  # new size bins: extend the table
+            self._table = np.pad(self._table, ((below, above), (0, 0)))
+            self._k0 -= below
+            rows += below
+        n_rows = len(self._table)
+        self._table[:, :_G_BINS] += np.bincount(
+            rows * _G_BINS + g_bin, minlength=n_rows * _G_BINS).reshape(n_rows, _G_BINS)
+        for col, weights in enumerate((g, g * g, np.log(before)), start=_G_BINS):
+            self._table[:, col] += np.bincount(rows, weights, n_rows)
 
     def histogram(self) -> Histogram:
         """Normalized density of growth rates g = size_after / size_before.
 
-        Linear bins over ``g_range`` plus one overflow bin when rates exceed
-        the range.
+        Linear bins over [0, ``_G_MAX``] plus one overflow bin when rates
+        exceed the range.
         """
-        if self.total == 0:
+        total = self.total
+        if total == 0:
             raise ValueError("no growth records survive the size filter")
-        edges, counts = self.edges, self.counts
+        edges, counts = _EDGES, self._table[:, :_G_BINS].sum(axis=0)
+        counts[-1] -= self.overflow
         if self.overflow:
             edges = np.append(edges, max(self.g_max, edges[-1] + edges[-1] - edges[-2]))
             counts = np.append(counts, self.overflow)
-        densities = counts / (self.total * np.diff(edges))
-        return Histogram(edges, densities, BinScheme.LINEAR, self.total)
-
-    def _tent_slope(self, hist_counts: np.ndarray, count: int) -> float:
-        # Log density against |g - 1| inside the tent window; the slope is the
-        # Laplacian-style decay rate used to read off sigma(n) from plots.
-        centers = 0.5 * (self.edges[:-1] + self.edges[1:])
-        dev = np.abs(centers - 1.0)
-        widths = np.diff(self.edges)
-        lo, hi = self.tent_window
-        sel = (dev >= lo) & (dev <= hi) & (hist_counts > 0)
-        if sel.sum() < 3:
-            return float("nan")
-        dens = hist_counts[sel] / (count * widths[sel])
-        slope, _, _ = _ols(dev[sel], np.log(dens))
-        return slope
+        densities = counts / (total * np.diff(edges))
+        return Histogram(edges, densities, BinScheme.LINEAR, total)
 
     def binned(self) -> list[SizeBinStats]:
         """Growth dispersion per logarithmic size bin.
 
-        Each bin with at least ``min_count`` records reports the standard
+        Each bin with at least ``_MIN_COUNT`` records reports the standard
         deviation of g and the fitted tent slope of its growth histogram;
         sparser bins are dropped.
         """
         out = []
         bpd = self.bins_per_decade
-        for k in sorted(self._size_bins):
-            acc = self._size_bins[k]
-            if acc.count < self.min_count:
-                continue
-            var = (acc.sum_g2 - acc.sum_g * acc.sum_g / acc.count) / (acc.count - 1)
+        counts = self._table[:, :_G_BINS]
+        for row in np.flatnonzero(counts.sum(axis=1) >= _MIN_COUNT):
+            k = self._k0 + int(row)
+            count = int(counts[row].sum())
+            sum_g, sum_g2, sum_log_n = self._table[row, _G_BINS:]
+            var = (sum_g2 - sum_g * sum_g / count) / (count - 1)
             out.append(SizeBinStats(
                 bin_low=10.0 ** (k / bpd),
                 bin_high=10.0 ** ((k + 1) / bpd),
                 sigma_g=math.sqrt(max(var, 0.0)),
-                tent_slope=self._tent_slope(acc.hist, acc.count),
-                count=acc.count,
-                geo_mean_size=math.exp(acc.sum_log_n / acc.count),
+                tent_slope=_tent_slope(counts[row], count),
+                count=count,
+                geo_mean_size=math.exp(sum_log_n / count),
             ))
         return out
 
@@ -340,14 +333,14 @@ class DeviationAccumulator:
     """
 
     def __init__(self, n_bins: int = 24, d_range: tuple[float, float] = (0.02, 0.45),
-                 min_size: float | None = None):
+                 min_size: float = 0):
         self.min_size = min_size
         self.edges = np.logspace(math.log10(d_range[0]), math.log10(d_range[1]),
                                  n_bins + 1)
         self.counts = np.zeros(n_bins, dtype=np.int64)
 
-    def update(self, records) -> None:
-        before, after = _filtered(records, self.min_size)
+    def update(self, batch: GrowthBatch) -> None:
+        before, after = _filtered(batch, self.min_size)
         if before.size == 0:
             return
         dev = np.abs(after / before - 1.0)

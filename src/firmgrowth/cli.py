@@ -39,9 +39,6 @@ _MODEL_KEYS = frozenset({
 _BASELINE_KEYS = frozenset({
     "n_units", "n_workers", "sigma", "replacement_mean", "iterations",
 })
-_COMMON_KEYS = frozenset({
-    "preset", "output_dir", "seed", "seeds", "snapshot_times", "workers", "min_size",
-})
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,13 @@ def _parse_enum(enum_cls):
     return parse
 
 
+def _parse_finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
+
+
 def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.replace(" ", "").split(",") if part]
 
@@ -114,20 +118,20 @@ _PARSERS = {
     "seeds": _parse_int_list,
     "snapshot_times": _parse_int_list,
     "workers": int,
-    "min_size": float,
+    "min_size": _parse_finite,
     "n_firms": int,
     "n_workers": int,
     "n_units": int,
     "iterations": int,
-    "margin": float,
-    "wage": float,
-    "price": float,
-    "sigma": float,
-    "beta": float,
-    "replacement_low": float,
-    "replacement_high": float,
-    "replacement_mean": float,
-    "move_fraction": float,
+    "margin": _parse_finite,
+    "wage": _parse_finite,
+    "price": _parse_finite,
+    "sigma": _parse_finite,
+    "beta": _parse_finite,
+    "replacement_low": _parse_finite,
+    "replacement_high": _parse_finite,
+    "replacement_mean": _parse_finite,
+    "move_fraction": _parse_finite,
     "scenario": _parse_enum(Scenario),
     "rounding": _parse_enum(Rounding),
     "allocation": _parse_enum(Allocation),
@@ -172,15 +176,15 @@ def _resolve(mapping: dict[str, tuple[str, int]]) -> RunSpec:
         seeds = [seed if seed is not None else 1]
     elif seed is not None:
         raise ConfigError("give either 'seed' or 'seeds', not both")
-    if not seeds:
-        raise ConfigError("at least one seed is required")
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise ConfigError("give one or more distinct seeds")
     spec = RunSpec(
         preset=preset,
         output_dir=Path(values.pop("output_dir", "out")),
         snapshot_times=values.pop("snapshot_times", None),
         seeds=seeds,
         workers=int(values.pop("workers", 1)),
-        min_size=float(values.pop("min_size", 10.0)),
+        min_size=values.pop("min_size", 10.0),
     )
     spec.overrides = values
     if spec.workers < 1:

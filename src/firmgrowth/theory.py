@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,8 @@ def theoretical_growth_density(params: TheoryParams, g: float) -> float:
     """
     if g == 1.0:
         raise ValueError("the density has its (possibly singular) peak at g = 1")
+    from scipy.integrate import quad  # imported here to keep scipy off the run path
+
     a = (g - 1.0) ** 2 / (2.0 * params.c)
     two_beta = 2.0 * params.beta
     s = (params.beta - params.alpha) / two_beta  # in (0, 1/2] iff alpha < beta

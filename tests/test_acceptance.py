@@ -16,8 +16,8 @@ from firmgrowth import analytics, cli
 from firmgrowth.analytics import DeviationAccumulator, GrowthAccumulator, SizeSnapshot
 from firmgrowth.baselines import BaselineConfig, step_additive, step_scaled_beta
 from firmgrowth.cli import RunSpec
-from firmgrowth.model import (Allocation, Economy, ModelConfig, Scenario,
-                              per_unit_offer_array, round_array)
+from firmgrowth.model import (Allocation, Economy, GrowthBatch, Metric, ModelConfig,
+                              Scenario, per_unit_offer_array, round_array)
 from firmgrowth.rng import substream
 
 
@@ -92,7 +92,7 @@ def test_criterion_03_scaled_noise_recovery():
         before = sizes.astype(float)
         sizes = step_scaled_beta(sizes, cfg.sigma**2, cfg.beta,
                                  substream(cfg.seed, 0, t), cfg.replacement_mean)
-        acc.update((before, sizes.astype(float)))
+        acc.update(GrowthBatch(Metric.EMPLOYEES, before, sizes))
     beta = analytics.fit_beta(acc.binned())
     report(3, "scaled-noise exponent recovery", 0.21 <= beta.exponent <= 0.31,
            f"beta {beta.exponent:.3f} from a 0.25-scaling run, band [0.21, 0.31]")
@@ -205,8 +205,8 @@ def test_criterion_11_binning_robustness():
     g = rng.normal(1.0, np.sqrt(0.1 / n))
     betas = []
     for bins_per_decade in (1.0, 2.0):
-        acc = GrowthAccumulator(min_size=None, bins_per_decade=bins_per_decade)
-        acc.update((n, n * g))
+        acc = GrowthAccumulator(min_size=0, bins_per_decade=bins_per_decade)
+        acc.update(GrowthBatch(Metric.EMPLOYEES, n, n * g))
         betas.append(analytics.fit_beta(acc.binned()))
     decade, half = betas
     gap = abs(decade.exponent - half.exponent)

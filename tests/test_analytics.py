@@ -21,19 +21,19 @@ from firmgrowth.analytics import (
 from firmgrowth.model import GrowthBatch, Metric
 
 
-def fed(acc, records):
-    """The accumulator after one update with ``records``."""
-    acc.update(records)
+def fed(acc, before, after):
+    """The accumulator after one update with the batch ``(before, after)``."""
+    acc.update(GrowthBatch(Metric.EMPLOYEES, before, after))
     return acc
 
 
-def growth_histogram(records, min_size):
-    return fed(GrowthAccumulator(min_size=min_size), records).histogram()
+def growth_histogram(before, after, min_size):
+    return fed(GrowthAccumulator(min_size=min_size), before, after).histogram()
 
 
-def bin_by_size(records, bins_per_decade=1.0):
-    return fed(GrowthAccumulator(min_size=None, bins_per_decade=bins_per_decade),
-               records).binned()
+def bin_by_size(before, after, bins_per_decade=1.0):
+    return fed(GrowthAccumulator(min_size=0, bins_per_decade=bins_per_decade),
+               before, after).binned()
 
 
 class TestCcdf:
@@ -105,7 +105,7 @@ class TestTailFits:
 
 class TestGrowthHistogram:
     def test_single_record_concentrates(self):
-        hist = growth_histogram(([50.0], [50.0]), min_size=10)
+        hist = growth_histogram([50.0], [50.0], min_size=10)
         idx = np.searchsorted(hist.bin_edges, 1.0) - 1
         width = hist.widths()[idx]
         assert hist.densities[idx] == pytest.approx(1.0 / width)
@@ -117,7 +117,7 @@ class TestGrowthHistogram:
         rng = np.random.default_rng(3)
         n, reps, sd = 400.0, 400_000, 0.08
         g = rng.normal(1.0, sd, reps)
-        hist = growth_histogram((np.full(reps, n), g * n), min_size=10)
+        hist = growth_histogram(np.full(reps, n), g * n, min_size=10)
         edges = hist.bin_edges
         probs = norm.cdf(edges[1:], 1.0, sd) - norm.cdf(edges[:-1], 1.0, sd)
         for density, p, width in zip(hist.densities, probs, hist.widths()):
@@ -126,10 +126,10 @@ class TestGrowthHistogram:
 
     def test_all_records_filtered_rejected(self):
         with pytest.raises(ValueError):
-            growth_histogram(([2.0], [3.0]), min_size=10)
+            growth_histogram([2.0], [3.0], min_size=10)
 
     def test_overflow_bin_captures_large_rates(self):
-        hist = growth_histogram((np.full(10, 100.0), np.full(10, 350.0)), min_size=1)
+        hist = growth_histogram(np.full(10, 100.0), np.full(10, 350.0), min_size=1)
         assert hist.bin_edges[-1] >= 3.5
         assert hist.densities[-1] > 0
 
@@ -139,7 +139,7 @@ class TestGrowthHistogram:
     def test_density_normalized(self, pairs):
         before = np.array([p[0] for p in pairs])
         after = before * np.array([p[1] for p in pairs])
-        hist = growth_histogram((before, after), min_size=1)
+        hist = growth_histogram(before, after, min_size=1)
         assert float(hist.densities @ hist.widths()) == pytest.approx(1.0, abs=1e-9)
         assert np.isfinite(hist.log_densities()).all()
 
@@ -148,7 +148,7 @@ class TestSizeBinning:
     def test_uniform_size_bin_reports_sample_sigma(self):
         rng = np.random.default_rng(4)
         g = rng.normal(1.0, 0.07, 5000)
-        binned = bin_by_size((np.full(5000, 300.0), 300.0 * g))
+        binned = bin_by_size(np.full(5000, 300.0), 300.0 * g)
         assert len(binned) == 1
         assert binned[0].sigma_g == pytest.approx(g.std(ddof=1), rel=1e-12)
         assert binned[0].count == 5000
@@ -162,7 +162,7 @@ class TestSizeBinning:
             g = rng.normal(1.0, math.sqrt(c / n), 100_000)
             before.append(np.full(100_000, n))
             after.append(n * g)
-        binned = bin_by_size((np.concatenate(before), np.concatenate(after)))
+        binned = bin_by_size(np.concatenate(before), np.concatenate(after))
         sigmas = [b.sigma_g for b in binned]
         for a, b in zip(sigmas, sigmas[1:]):
             assert b / a == pytest.approx(10 ** -0.5, rel=0.1)
@@ -176,7 +176,7 @@ class TestSizeBinning:
         u = rng.uniform(0, 1, 300_000)
         n = (10.0 ** -0.7 + u * (100.0 ** -0.7 - 10.0 ** -0.7)) ** (1 / -0.7)
         g = rng.normal(1.0, np.sqrt(0.1 / n))
-        binned = bin_by_size((n, n * g))
+        binned = bin_by_size(n, n * g)
         assert len(binned) == 1
         pooled = kurtosis(g)
         assert pooled > 0.3
@@ -184,11 +184,11 @@ class TestSizeBinning:
     def test_sparse_bins_dropped(self):
         before = np.concatenate([np.full(100, 50.0), np.full(5, 5000.0)])
         after = before * 1.01
-        binned = bin_by_size((before, after + np.linspace(0, 1, 105)))
+        binned = bin_by_size(before, after + np.linspace(0, 1, 105))
         assert [b.count for b in binned] == [100]
 
     def test_no_qualifying_bin_rejected(self):
-        assert bin_by_size((np.full(10, 50.0), np.full(10, 51.0))) == []
+        assert bin_by_size(np.full(10, 50.0), np.full(10, 51.0)) == []
 
 
 class TestFitBeta:
@@ -204,7 +204,7 @@ class TestFitBeta:
 
     def test_exact_half_power_law(self):
         records = self._exact_records([10, 100, 1000, 10_000], lambda n: n ** -0.5)
-        beta = fit_beta(bin_by_size(records))
+        beta = fit_beta(bin_by_size(*records))
         assert abs(beta.exponent - 0.5) < 1e-9
         assert beta.std_error < 1e-9
 
@@ -214,14 +214,14 @@ class TestFitBeta:
         n = 10 ** rng.uniform(1, 5, 400_000)
         g = rng.normal(1.0, np.sqrt(0.1 / n))
         records = (n, n * g)
-        b1 = fit_beta(bin_by_size(records, bins_per_decade=1.0))
-        b2 = fit_beta(bin_by_size(records, bins_per_decade=2.0))
+        b1 = fit_beta(bin_by_size(*records, bins_per_decade=1.0))
+        b2 = fit_beta(bin_by_size(*records, bins_per_decade=2.0))
         assert abs(b1.exponent - b2.exponent) < 0.05
 
     def test_needs_three_bins(self):
         records = self._exact_records([10, 100], lambda n: n ** -0.5)
         with pytest.raises(ValueError):
-            fit_beta(bin_by_size(records))
+            fit_beta(bin_by_size(*records))
 
 
 class TestTentShape:
@@ -232,7 +232,7 @@ class TestTentShape:
         c = 2.0
         n = 10 ** rng.uniform(0, 8, 1_500_000)
         g = 1.0 + rng.standard_normal(n.size) * np.sqrt(c / n)
-        hist = fed(DeviationAccumulator(), (n, g * n)).histogram()
+        hist = fed(DeviationAccumulator(), n, g * n).histogram()
         slope, _, used = central_tent_slope(hist, (0.02, 0.3))
         assert used >= 15
         assert slope == pytest.approx(-1.0, abs=0.2)
@@ -241,13 +241,13 @@ class TestTentShape:
         rng = np.random.default_rng(9)
         n = np.full(50_000, 40.0)
         g = rng.normal(1.0, 0.2, n.size)
-        hist = fed(DeviationAccumulator(), (n, g * n)).histogram()
+        hist = fed(DeviationAccumulator(), n, g * n).histogram()
         assert hist.bin_scheme is BinScheme.LOGARITHMIC
         assert float(hist.densities @ hist.widths()) == pytest.approx(1.0)
 
     def test_slope_window_needs_population(self):
         hist = fed(DeviationAccumulator(d_range=(0.0005, 0.45)),
-                   (np.full(100, 1000.0), np.full(100, 1001.0))).histogram()
+                   np.full(100, 1000.0), np.full(100, 1001.0)).histogram()
         with pytest.raises(ValueError):
             central_tent_slope(hist, (0.1, 0.3))
 
@@ -259,11 +259,10 @@ class TestAccumulatorStreaming:
         after = before * rng.normal(1.0, 0.1, 30_000)
         after[after < 0] = 0.0
 
-        whole = GrowthAccumulator(min_size=10)
-        whole.update((before, after))
+        whole = fed(GrowthAccumulator(min_size=10), before, after)
         chunked = GrowthAccumulator(min_size=10)
         for part in np.array_split(np.arange(30_000), 7):
-            chunked.update((before[part], after[part]))
+            fed(chunked, before[part], after[part])
 
         h1, h2 = whole.histogram(), chunked.histogram()
         assert np.array_equal(h1.bin_edges, h2.bin_edges)
@@ -274,12 +273,26 @@ class TestAccumulatorStreaming:
             assert a.sigma_g == pytest.approx(b.sigma_g, rel=1e-9)
             assert a.geo_mean_size == pytest.approx(b.geo_mean_size, rel=1e-9)
 
-    def test_accepts_batches_and_pairs(self):
-        pair = (np.array([20.0, 40.0]), np.array([22.0, 36.0]))
-        batch = GrowthBatch(Metric.EMPLOYEES, *pair)
-        h1 = growth_histogram(pair, min_size=1)
-        h2 = growth_histogram(batch, min_size=1)
+    def test_min_size_drops_small_firms(self):
+        h1 = growth_histogram([5.0, 20.0, 40.0], [9.0, 22.0, 36.0], min_size=10)
+        h2 = growth_histogram([20.0, 40.0], [22.0, 36.0], min_size=10)
+        assert h1.count == 2
         assert np.array_equal(h1.densities, h2.densities)
+
+    def test_bin_index_matches_np_histogram(self):
+        # rates on the bin edges: every bin is closed on the left, the last
+        # one on both sides, and rates above 2 go to the overflow bin
+        edges = np.linspace(0.0, 2.0, 102)
+        g = np.array([0.0, edges[1], np.nextafter(edges[37], 0.0), edges[37],
+                      edges[50], edges[100], np.nextafter(2.0, 0.0), 2.0,
+                      np.nextafter(2.0, 3.0), 2.5])
+        acc = fed(GrowthAccumulator(min_size=1), np.ones(3 * g.size), np.tile(g, 3))
+        hist = acc.histogram()
+        counts = np.rint(hist.densities * hist.widths() * hist.count)
+        assert np.array_equal(hist.bin_edges[:102], edges)
+        assert np.array_equal(counts[:101], np.histogram(np.tile(g, 3), edges)[0])
+        assert acc.overflow == counts[101] == 6
+        assert [b.count for b in acc.binned()] == [3 * g.size]
 
     def test_growth_batch_drops_empty_firms(self):
         batch = GrowthBatch(Metric.SALES, [10.0, 0.0, 5.0], [11.0, 3.0, 0.0])

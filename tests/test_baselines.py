@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from firmgrowth import (
     BaselineConfig,
+    GrowthBatch,
+    Metric,
     analytics,
     marsili_rank_prediction,
     step_additive,
@@ -77,8 +79,9 @@ class TestScaledBeta:
             after = step_scaled_beta(sizes, c, 0.5, rng)
             before_all.append(sizes.astype(float))
             after_all.append(after.astype(float))
-        acc = analytics.GrowthAccumulator(min_size=None)
-        acc.update((np.concatenate(before_all), np.concatenate(after_all)))
+        acc = analytics.GrowthAccumulator(min_size=0)
+        acc.update(GrowthBatch(Metric.EMPLOYEES, np.concatenate(before_all),
+                               np.concatenate(after_all)))
         beta = analytics.fit_beta(acc.binned())
         assert abs(beta.exponent - 0.5) < 0.05
 

@@ -178,6 +178,21 @@ class TestMainEntry:
         assert "seed" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())  # nothing written
 
+    @pytest.mark.parametrize("flags", [
+        ["--wage", "nan"], ["--min-size", "nan"], ["--replacement-low", "nan"],
+        ["--margin", "inf"], ["--price=-inf"],
+    ])
+    def test_non_finite_float_is_config_error(self, flags, tmp_path, capsys):
+        assert cli.main(["run", "--preset", "Custom", *flags, "-o", str(tmp_path)]) == 1
+        assert "not a finite number" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_duplicate_seeds_are_config_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--preset", "Custom", "--seeds", "1,2,1",
+                         "-o", str(tmp_path)]) == 1
+        assert "distinct" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_analyze_round_trip(self, tmp_path, capsys):
         out = tmp_path / "out"
         cli.main(["run", "--preset", "Custom", "--n-firms", "40",

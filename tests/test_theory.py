@@ -1,11 +1,16 @@
 """Exact references: the next-size pmf and the growth-density quadrature."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import firmgrowth
 from firmgrowth.rng import substream
 from firmgrowth.theory import (
     TheoryParams,
@@ -111,3 +116,12 @@ class TestGrowthDensity:
             TheoryParams(alpha=0.1, beta=0.6)
         with pytest.raises(ValueError):
             TheoryParams(alpha=0.1, beta=0.5, c=0.0)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # a fresh interpreter: this test process has scipy loaded already
+    src = str(Path(firmgrowth.__file__).parents[1])
+    code = "import sys, firmgrowth.cli; print(any(m.startswith('scipy') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
