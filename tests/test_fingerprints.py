@@ -35,6 +35,11 @@ FINGERPRINTS = [
      "e21684a2a96c35b7667c0abc33802411f60dddafe73b66722105f5840a8047a3"),
     ("--preset Custom --scenario WorkersOnlyConsume --rounding PerUnit --seeds 4",
      "44a87106583d7b787f0b1425abeeb2529ae206ce260a5b3b474c08f6e978efaa"),
+    # 400 moves per iteration across 200 cities: several move blocks per step
+    # and frequent refills of emptied cities.
+    ("--preset MarsiliSequential --n-units 200 --n-workers 400 --move-fraction 1 "
+     "--iterations 30 --seeds 1,2 --snapshot-times 15,30",
+     "d9ad36eb65df966637028d9e350128d444d37d34d921f30726ab0f5797d82141"),
 ]
 
 
