@@ -110,6 +110,49 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     return out
 
 
+# Moves per block of pre-drawn integers. A refill rewinds the generator and
+# redraws only the moves used so far, so a block is kept short enough that
+# refill-heavy runs do not redraw much.
+_BLOCK = 256
+
+
+class _Fenwick:
+    """Prefix sums of non-negative city sizes (Fenwick, Softw. Pract. Exp.
+    24:327, 1994): O(log n) updates and worker-to-city lookups.
+
+    The tree is padded with empty cities to a power-of-two length, so the
+    descent in ``find`` needs no bounds check.
+    """
+
+    __slots__ = ("tree", "top")
+
+    def __init__(self, sizes: list[int]):
+        top = 1 << max(len(sizes) - 1, 0).bit_length()
+        tree = [0, *sizes] + [0] * (top - len(sizes))
+        for i in range(1, top):
+            tree[i + (i & -i)] += tree[i]  # O(n): push each node into its parent
+        self.tree, self.top = tree, top
+
+    def find(self, u: int) -> int:
+        """Index of the city holding worker ``u`` (0 <= u < total): the same
+        as ``np.searchsorted(np.cumsum(sizes), u, side="right")``."""
+        tree, pos, step = self.tree, 0, self.top >> 1  # tree[top] = total > u
+        while step:
+            nxt = pos + step
+            if tree[nxt] <= u:
+                pos = nxt
+                u -= tree[nxt]
+            step >>= 1
+        return pos
+
+    def add(self, i: int, d: int):
+        tree, top = self.tree, self.top
+        i += 1
+        while i <= top:
+            tree[i] += d
+            i += i & -i
+
+
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                             replacement_mean: float = 1.5) -> tuple[np.ndarray, GrowthBatch]:
     """Sequential relocation dynamics: one worker moves at a time.
@@ -117,9 +160,18 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     Each elementary move picks a worker uniformly at random, removes it from
     its city, and reassigns it to a city with probability proportional to the
     current (already updated) sizes. A city emptied by a move is refilled
-    immediately with a small entrant population taken uniformly from the
-    other cities' workers, so the total is conserved exactly. Growth records
-    compare the sizes before and after the whole batch of moves.
+    immediately with a small entrant population: each entrant is a worker
+    picked uniformly from all ``total`` workers, the refilled city's own new
+    workers included, and moved there, so the total is conserved exactly. A
+    donor city left empty by this is not refilled; with zero weight it is
+    never picked again. Growth records compare the sizes before and after the
+    whole batch of moves.
+
+    The move integers are drawn in blocks of up to ``_BLOCK`` moves by one
+    array-valued ``rng.integers`` call, which draws each element exactly as a
+    scalar call would. At a refill the generator is rewound to the start of
+    the block and only the moves used so far are redrawn, so every value and
+    the final generator state equal one scalar draw per pick.
     """
     sizes = np.asarray(city_sizes, dtype=np.int64).copy()
     if sizes.size == 0:
@@ -133,23 +185,41 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         raise ValueError(f"cannot move {n_moves} workers, only {total} exist")
     before = sizes.astype(float)
 
-    for _ in range(n_moves):
-        # Uniform worker pick == city pick proportional to size.
-        origin = int(np.searchsorted(np.cumsum(sizes), rng.integers(total), side="right"))
-        sizes[origin] -= 1
-        # Destination proportional to the total - 1 workers left in place.
-        dest = int(np.searchsorted(np.cumsum(sizes), rng.integers(total - 1), side="right"))
-        sizes[dest] += 1
-        if sizes[origin] == 0:
-            # Refill from the other cities, worker by worker: every worker has
-            # the same chance of being shifted, total unchanged.
-            entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
-            entrant = min(entrant, total - 1)
-            for _ in range(entrant):
-                donor = int(np.searchsorted(np.cumsum(sizes), rng.integers(total), side="right"))
-                sizes[donor] -= 1
-                sizes[origin] += 1
+    size = sizes.tolist()
+    fen = _Fenwick(size)
+    find, add = fen.find, fen.add
+    # Origin: uniform over all workers (== city proportional to size);
+    # destination: uniform over the total - 1 workers left in place.
+    highs = np.tile(np.array([total, total - 1], dtype=np.int64), _BLOCK)
+    done = 0
+    while done < n_moves:
+        block = min(_BLOCK, n_moves - done)
+        start = rng.bit_generator.state
+        picks = rng.integers(highs[:2 * block]).tolist()
+        for j in range(block):
+            origin = find(picks[2 * j])
+            size[origin] -= 1
+            add(origin, -1)
+            dest = find(picks[2 * j + 1])
+            size[dest] += 1
+            add(dest, 1)
+            if size[origin] == 0:
+                # Leave the generator where the scalar draws of moves 0..j leave it.
+                rng.bit_generator.state = start
+                block = j + 1
+                rng.integers(highs[:2 * block])
+                entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
+                entrant = min(entrant, total - 1)
+                for _ in range(entrant):
+                    donor = find(int(rng.integers(total)))
+                    size[donor] -= 1
+                    add(donor, -1)
+                    size[origin] += 1
+                    add(origin, 1)
+                break
+        done += block
 
+    sizes = np.array(size, dtype=np.int64)
     return sizes, GrowthBatch(Metric.EMPLOYEES, before, sizes)
 
 

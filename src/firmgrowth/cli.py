@@ -220,6 +220,8 @@ def materialize(spec: RunSpec, seed: int):
                 raise ValueError("n_firms must be at least 2")
         else:
             cfg = BaselineConfig(**merged)
+            if preset.kind == "marsili" and cfg.n_workers < 2:
+                raise ValueError("n_workers must be at least 2 for a worker to move")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     iters = cfg.iterations

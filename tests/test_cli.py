@@ -187,6 +187,12 @@ class TestMainEntry:
         assert "not a finite number" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_one_worker_marsili_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--preset", "MarsiliSequential", "--n-units", "1",
+                         "--n-workers", "1", "--iterations", "1", "-o", str(tmp_path)]) == 1
+        assert "n_workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_duplicate_seeds_are_config_error(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "Custom", "--seeds", "1,2,1",
                          "-o", str(tmp_path)]) == 1
