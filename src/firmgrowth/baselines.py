@@ -117,21 +117,22 @@ _BLOCK = 256
 
 
 class _Fenwick:
-    """Prefix sums of non-negative city sizes (Fenwick, Softw. Pract. Exp.
-    24:327, 1994): O(log n) updates and worker-to-city lookups.
+    """Non-negative city sizes with their prefix sums in a Fenwick tree
+    (Fenwick, Softw. Pract. Exp. 24:327, 1994): O(log n) updates and
+    worker-to-city lookups.
 
     The tree is padded with empty cities to a power-of-two length, so the
     descent in ``find`` needs no bounds check.
     """
 
-    __slots__ = ("tree", "top")
+    __slots__ = ("sizes", "tree", "top")
 
     def __init__(self, sizes: list[int]):
         top = 1 << max(len(sizes) - 1, 0).bit_length()
         tree = [0, *sizes] + [0] * (top - len(sizes))
         for i in range(1, top):
             tree[i + (i & -i)] += tree[i]  # O(n): push each node into its parent
-        self.tree, self.top = tree, top
+        self.sizes, self.tree, self.top = sizes, tree, top
 
     def find(self, u: int) -> int:
         """Index of the city holding worker ``u`` (0 <= u < total): the same
@@ -146,6 +147,7 @@ class _Fenwick:
         return pos
 
     def add(self, i: int, d: int):
+        self.sizes[i] += d
         tree, top = self.tree, self.top
         i += 1
         while i <= top:
@@ -185,9 +187,8 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         raise ValueError(f"cannot move {n_moves} workers, only {total} exist")
     before = sizes.astype(float)
 
-    size = sizes.tolist()
-    fen = _Fenwick(size)
-    find, add = fen.find, fen.add
+    fen = _Fenwick(sizes.tolist())
+    size, find, add = fen.sizes, fen.find, fen.add
     # Origin: uniform over all workers (== city proportional to size);
     # destination: uniform over the total - 1 workers left in place.
     highs = np.tile(np.array([total, total - 1], dtype=np.int64), _BLOCK)
@@ -198,11 +199,8 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         picks = rng.integers(highs[:2 * block]).tolist()
         for j in range(block):
             origin = find(picks[2 * j])
-            size[origin] -= 1
             add(origin, -1)
-            dest = find(picks[2 * j + 1])
-            size[dest] += 1
-            add(dest, 1)
+            add(find(picks[2 * j + 1]), 1)
             if size[origin] == 0:
                 # Leave the generator where the scalar draws of moves 0..j leave it.
                 rng.bit_generator.state = start
@@ -211,10 +209,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                 entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
                 entrant = min(entrant, total - 1)
                 for _ in range(entrant):
-                    donor = find(int(rng.integers(total)))
-                    size[donor] -= 1
-                    add(donor, -1)
-                    size[origin] += 1
+                    add(find(int(rng.integers(total))), -1)
                     add(origin, 1)
                 break
         done += block
