@@ -22,7 +22,6 @@ from .model import (
 )
 from .baselines import (
     BaselineConfig,
-    marsili_rank_prediction,
     step_additive,
     step_marsili_sequential,
     step_scaled_beta,

@@ -41,8 +41,8 @@ class BaselineConfig:
             raise ValueError("n_workers must be at least n_units")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
+        if not 0.0 <= self.beta <= 0.5:
+            raise ValueError("beta must lie in [0, 0.5]")
         if self.replacement_mean < 1.0:
             raise ValueError("replacement_mean must be at least 1")
         if self.iterations < 1:
@@ -116,43 +116,27 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
 _BLOCK = 256
 
 
-class _Fenwick:
-    """Non-negative city sizes with their prefix sums in a Fenwick tree
-    (Fenwick, Softw. Pract. Exp. 24:327, 1994): O(log n) updates and
-    worker-to-city lookups.
+def _take(left: list[int], top: int, u: int) -> int:
+    """Remove worker ``u`` (0 <= u < total) from the left-sum tree in one
+    root-to-leaf pass and return its city: the same index as
+    ``np.searchsorted(np.cumsum(sizes), u, side="right")``.
 
-    The tree is padded with empty cities to a power-of-two length, so the
-    descent in ``find`` needs no bounds check.
+    Node ``k`` holds the workers of its left subtree, so the descent goes left
+    while ``u`` falls inside it (taking the worker out of that count) and
+    otherwise skips it. Empty cities are never reached. The move loop inlines
+    this descent and its +1 twin; a call per pick costs a sizeable share of a
+    move.
     """
-
-    __slots__ = ("sizes", "tree", "top")
-
-    def __init__(self, sizes: list[int]):
-        top = 1 << max(len(sizes) - 1, 0).bit_length()
-        tree = [0, *sizes] + [0] * (top - len(sizes))
-        for i in range(1, top):
-            tree[i + (i & -i)] += tree[i]  # O(n): push each node into its parent
-        self.sizes, self.tree, self.top = sizes, tree, top
-
-    def find(self, u: int) -> int:
-        """Index of the city holding worker ``u`` (0 <= u < total): the same
-        as ``np.searchsorted(np.cumsum(sizes), u, side="right")``."""
-        tree, pos, step = self.tree, 0, self.top >> 1  # tree[top] = total > u
-        while step:
-            nxt = pos + step
-            if tree[nxt] <= u:
-                pos = nxt
-                u -= tree[nxt]
-            step >>= 1
-        return pos
-
-    def add(self, i: int, d: int):
-        self.sizes[i] += d
-        tree, top = self.tree, self.top
-        i += 1
-        while i <= top:
-            tree[i] += d
-            i += i & -i
+    k = 1
+    while k < top:
+        c = left[k]
+        if u < c:
+            left[k] = c - 1
+            k += k
+        else:
+            u -= c
+            k += k + 1
+    return k - top
 
 
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
@@ -168,6 +152,14 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     donor city left empty by this is not refilled; with zero weight it is
     never picked again. Growth records compare the sizes before and after the
     whole batch of moves.
+
+    The sizes sit in a left-sum tree: a list ``left`` of length ``top``, the
+    city count padded to a power of two, where node ``k`` has children
+    ``2k`` and ``2k + 1``, leaf ``top + i`` is city ``i``, and ``left[k]``
+    counts the workers in the left subtree of ``k``. A pick walks once from
+    the root to its city and writes -1 (origin) or +1 (destination) into the
+    nodes where it goes left, so finding the city and moving the worker take
+    one pass (see ``_take``).
 
     The move integers are drawn in blocks of up to ``_BLOCK`` moves by one
     array-valued ``rng.integers`` call, which draws each element exactly as a
@@ -187,8 +179,12 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         raise ValueError(f"cannot move {n_moves} workers, only {total} exist")
     before = sizes.astype(float)
 
-    fen = _Fenwick(sizes.tolist())
-    size, find, add = fen.sizes, fen.find, fen.add
+    size = sizes.tolist()
+    top = 1 << (len(size) - 1).bit_length()
+    sub = [0] * top + size + [0] * (top - len(size))  # subtree sums, leaves at top + i
+    for k in range(top - 1, 0, -1):
+        sub[k] = sub[2 * k] + sub[2 * k + 1]
+    left = [sub[2 * k] for k in range(top)]  # left[0] is unused
     # Origin: uniform over all workers (== city proportional to size);
     # destination: uniform over the total - 1 workers left in place.
     highs = np.tile(np.array([total, total - 1], dtype=np.int64), _BLOCK)
@@ -198,9 +194,27 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         start = rng.bit_generator.state
         picks = rng.integers(highs[:2 * block]).tolist()
         for j in range(block):
-            origin = find(picks[2 * j])
-            add(origin, -1)
-            add(find(picks[2 * j + 1]), 1)
+            u, k = picks[2 * j], 1  # inlined _take
+            while k < top:
+                c = left[k]
+                if u < c:
+                    left[k] = c - 1
+                    k += k
+                else:
+                    u -= c
+                    k += k + 1
+            origin = k - top
+            size[origin] -= 1
+            u, k = picks[2 * j + 1], 1  # _take with +1: place the worker
+            while k < top:
+                c = left[k]
+                if u < c:
+                    left[k] = c + 1
+                    k += k
+                else:
+                    u -= c
+                    k += k + 1
+            size[k - top] += 1
             if size[origin] == 0:
                 # Leave the generator where the scalar draws of moves 0..j leave it.
                 rng.bit_generator.state = start
@@ -209,17 +223,15 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                 entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
                 entrant = min(entrant, total - 1)
                 for _ in range(entrant):
-                    add(find(int(rng.integers(total))), -1)
-                    add(origin, 1)
+                    size[_take(left, top, int(rng.integers(total)))] -= 1
+                    size[origin] += 1
+                    k = top + origin
+                    while k > 1:  # +1 on every node whose left subtree holds origin
+                        if not k & 1:
+                            left[k >> 1] += 1
+                        k >>= 1
                 break
         done += block
 
     sizes = np.array(size, dtype=np.int64)
     return sizes, GrowthBatch(Metric.EMPLOYEES, before, sizes)
-
-
-def marsili_rank_prediction(rank: int, m: float) -> float:
-    """Closed-form size of the rank-th largest city in the sequential linear case."""
-    if rank < 1:
-        raise ValueError("rank starts at 1")
-    return m * math.exp(-rank + 1)

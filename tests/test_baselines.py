@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from firmgrowth import (
@@ -11,7 +11,6 @@ from firmgrowth import (
     GrowthBatch,
     Metric,
     analytics,
-    marsili_rank_prediction,
     step_additive,
     step_marsili_sequential,
     step_scaled_beta,
@@ -165,6 +164,14 @@ class TestMarsiliSequential:
            st.integers(0, 2), st.integers(0, _BLOCK),
            st.integers(0, 2**32), st.sampled_from([1.5, 3.0]))
     @settings(max_examples=60, deadline=None)
+    # The calibrated 500 cities (padded to 512), an exact power of two, and one
+    # past it (padded to 1,024); cities of size 1 make these runs refill.
+    @example(small=[i % 7 for i in range(499)], blocks=1, extra=100, seed=5,
+             replacement_mean=1.5)
+    @example(small=[i % 7 for i in range(511)], blocks=1, extra=100, seed=6,
+             replacement_mean=3.0)
+    @example(small=[i % 7 for i in range(512)], blocks=1, extra=100, seed=7,
+             replacement_mean=1.5)
     def test_matches_cumsum_loop(self, small, blocks, extra, seed, replacement_mean):
         # Small cities (zeros included) empty often and force refills; one
         # large city lets a step run past two blocks. Equal sizes and an equal
@@ -189,22 +196,6 @@ class TestMarsiliSequential:
         assert np.array_equal(batch.size_after, sizes.astype(float))
 
 
-class TestRankPrediction:
-    def test_first_rank_is_scale(self):
-        assert marsili_rank_prediction(1, 123.0) == 123.0
-
-    def test_second_rank(self):
-        assert marsili_rank_prediction(2, 100.0) == pytest.approx(100 / math.e)
-
-    def test_monotone_decreasing(self):
-        values = [marsili_rank_prediction(r, 50.0) for r in range(1, 11)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_rank_starts_at_one(self):
-        with pytest.raises(ValueError):
-            marsili_rank_prediction(0, 10.0)
-
-
 class TestBaselineConfig:
     def test_initial_sizes_split_evenly(self):
         cfg = BaselineConfig(n_units=3, n_workers=10)
@@ -216,5 +207,7 @@ class TestBaselineConfig:
             BaselineConfig(sigma=0.0)
         with pytest.raises(ValueError):
             BaselineConfig(beta=1.5)
+        with pytest.raises(ValueError):
+            BaselineConfig(beta=0.7)  # step_scaled_beta takes beta in [0, 0.5] only
         with pytest.raises(ValueError):
             BaselineConfig(n_units=10, n_workers=5)

@@ -193,6 +193,12 @@ class TestMainEntry:
         assert "n_workers" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_beta_outside_scaled_step_domain_is_config_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--preset", "ScaledBeta", "--beta", "0.7",
+                         "--iterations", "2", "-o", str(tmp_path)]) == 1
+        assert "beta must lie in [0, 0.5]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_duplicate_seeds_are_config_error(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "Custom", "--seeds", "1,2,1",
                          "-o", str(tmp_path)]) == 1
