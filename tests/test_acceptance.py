@@ -6,7 +6,9 @@ whole module finishes in a couple of minutes on a laptop. Run with
 
     pytest tests/test_acceptance.py -v -s
 """
+import concurrent.futures
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -36,21 +38,25 @@ def baseline_config(preset, seed, **overrides):
     return BaselineConfig(**merged)
 
 
+def demand_scarce_fit(seed):
+    """OLS and MLE tail fits of one demand-scarce preset run."""
+    cfg = model_config("ScenarioII", seed)
+    economy = Economy(cfg)
+    for _ in range(cfg.iterations):
+        economy.step()
+    snap = SizeSnapshot.from_values(economy.time, economy.size)
+    points = analytics.ccdf(snap)
+    window = analytics.default_tail_range(snap.sizes)
+    return analytics.fit_power_law_tail(points, window, n_total=len(snap))
+
+
 @pytest.fixture(scope="module")
 def demand_scarce_alphas():
-    """Tail exponents of 5 seeds of the demand-scarce preset."""
-    fits = []
-    for seed in (1, 2, 3, 4, 5):
-        cfg = model_config("ScenarioII", seed)
-        economy = Economy(cfg)
-        for _ in range(cfg.iterations):
-            economy.step()
-        snap = SizeSnapshot.from_values(economy.time, economy.size)
-        points = analytics.ccdf(snap)
-        window = analytics.default_tail_range(snap.sizes)
-        ols, mle = analytics.fit_power_law_tail(points, window, n_total=len(snap))
-        fits.append((ols, mle))
-    return fits
+    """Tail exponents of 5 seeds of the demand-scarce preset. The seeds are
+    independent, so two worker processes run them, as ``cli.run`` does."""
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        return list(pool.map(demand_scarce_fit, (1, 2, 3, 4, 5)))
 
 
 @pytest.fixture(scope="module")
