@@ -116,29 +116,6 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
 _BLOCK = 256
 
 
-def _take(left: list[int], top: int, u: int) -> int:
-    """Remove worker ``u`` (0 <= u < total) from the left-sum tree in one
-    root-to-leaf pass and return its city: the same index as
-    ``np.searchsorted(np.cumsum(sizes), u, side="right")``.
-
-    Node ``k`` holds the workers of its left subtree, so the descent goes left
-    while ``u`` falls inside it (taking the worker out of that count) and
-    otherwise skips it. Empty cities are never reached. The move loop inlines
-    this descent and its +1 twin; a call per pick costs a sizeable share of a
-    move.
-    """
-    k = 1
-    while k < top:
-        c = left[k]
-        if u < c:
-            left[k] = c - 1
-            k += k
-        else:
-            u -= c
-            k += k + 1
-    return k - top
-
-
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                             replacement_mean: float = 1.5) -> tuple[np.ndarray, GrowthBatch]:
     """Sequential relocation dynamics: one worker moves at a time.
@@ -156,10 +133,11 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     The sizes sit in a left-sum tree: a list ``left`` of length ``top``, the
     city count padded to a power of two, where node ``k`` has children
     ``2k`` and ``2k + 1``, leaf ``top + i`` is city ``i``, and ``left[k]``
-    counts the workers in the left subtree of ``k``. A pick walks once from
-    the root to its city and writes -1 (origin) or +1 (destination) into the
-    nodes where it goes left, so finding the city and moving the worker take
-    one pass (see ``_take``).
+    counts the workers in the left subtree of ``k``. A pick ``u`` walks once
+    from the root: left while ``u < left[k]``, else right with ``left[k]``
+    subtracted. It ends on the city ``np.searchsorted(np.cumsum(sizes), u,
+    side="right")`` names, never an empty one, and it writes -1 (taking a
+    worker) or +1 (placing one) into the nodes where it went left.
 
     The move integers are drawn in blocks of up to ``_BLOCK`` moves by one
     array-valued ``rng.integers`` call, which draws each element exactly as a
@@ -194,7 +172,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         start = rng.bit_generator.state
         picks = rng.integers(highs[:2 * block]).tolist()
         for j in range(block):
-            u, k = picks[2 * j], 1  # inlined _take
+            u, k = picks[2 * j], 1  # origin: take the worker
             while k < top:
                 c = left[k]
                 if u < c:
@@ -205,7 +183,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                     k += k + 1
             origin = k - top
             size[origin] -= 1
-            u, k = picks[2 * j + 1], 1  # _take with +1: place the worker
+            u, k = picks[2 * j + 1], 1  # destination: place it
             while k < top:
                 c = left[k]
                 if u < c:
@@ -223,7 +201,16 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                 entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
                 entrant = min(entrant, total - 1)
                 for _ in range(entrant):
-                    size[_take(left, top, int(rng.integers(total)))] -= 1
+                    u, k = int(rng.integers(total)), 1  # donor: take a worker
+                    while k < top:
+                        c = left[k]
+                        if u < c:
+                            left[k] = c - 1
+                            k += k
+                        else:
+                            u -= c
+                            k += k + 1
+                    size[k - top] -= 1
                     size[origin] += 1
                     k = top + origin
                     while k > 1:  # +1 on every node whose left subtree holds origin
