@@ -45,6 +45,8 @@ class BaselineConfig:
             raise ValueError("beta must lie in [0, 0.5]")
         if self.replacement_mean < 1.0:
             raise ValueError("replacement_mean must be at least 1")
+        if self.replacement_mean > self.n_workers:
+            raise ValueError("replacement_mean must be at most n_workers")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if not 0.0 < self.move_fraction <= 1.0:

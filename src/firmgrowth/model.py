@@ -89,12 +89,19 @@ class ModelConfig:
             raise ValueError("margin must be positive")
         if self.wage <= 0 or self.price <= 0:
             raise ValueError("wage and price must be positive")
+        # Claims and goods are counted in float64 before rounding; above 2**53
+        # a float no longer holds every integer and the counts break.
+        largest_claim = self.n_workers * (1.0 + self.margin) * max(1.0, self.wage / self.price)
+        if not largest_claim < 2**53:
+            raise ValueError("n_workers * (1 + margin) * max(1, wage / price) must be below 2**53")
         if self.rounding is Rounding.PER_UNIT and not 0.0 <= self.margin <= 1.0:
             raise ValueError("per-unit rounding requires margin in [0, 1]")
         if self.replacement_low < 1.0:
             raise ValueError("replacement_low must be at least 1")
         if self.replacement_high < self.replacement_low:
             raise ValueError("replacement_high must be >= replacement_low")
+        if self.replacement_high > self.n_workers:
+            raise ValueError("replacement_high must be at most n_workers")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
 
@@ -390,8 +397,13 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
     and the entrant's offer simply joins the next job market. In the
     workers-only-consume scenario a firm is dead when its job offer collapsed
     to zero (it sold nothing); the entrant posts its size as its offer and an
-    equal number of offer slots is removed uniformly at random from the
-    surviving firms, leaving the aggregate job offer unchanged.
+    equal number of offer slots is removed from the surviving firms, leaving
+    the aggregate job offer unchanged. The surviving offers are laid end to
+    end as slots, a uniformly random subset of them is drawn without
+    replacement, and each firm loses the drawn slots that fall in its run.
+    A uniform subset of slots is the multivariate hypergeometric law, so each
+    firm loses ``removed_total * offer / available`` slots on average; this
+    costs one draw per removed slot instead of one per firm.
     """
     cfg = economy.config
     lo, hi = cfg.replacement_low, cfg.replacement_high
@@ -423,7 +435,8 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
             added, available,
         )
     if removed_total > 0:
-        removed = rng.multivariate_hypergeometric(surviving, removed_total)
-        economy.job_offer = economy.job_offer - removed
+        slots = rng.choice(available, removed_total, replace=False)
+        owner = np.searchsorted(np.cumsum(surviving), slots, side="right")
+        economy.job_offer = economy.job_offer - np.bincount(owner, minlength=surviving.size)
     economy.job_offer[idx] = entrant_sizes
     return int(idx.size)

@@ -5,6 +5,9 @@ value and its tolerance band. Heavy runs are shared via module fixtures; the
 whole module finishes in a couple of minutes on a laptop. Run with
 
     pytest tests/test_acceptance.py -v -s
+
+The measurement of each stochastic criterion (1-6) is a function of the seed,
+so that `scripts/criteria_spread.py` can rerun it on other seeds.
 """
 import concurrent.futures
 import math
@@ -50,6 +53,59 @@ def demand_scarce_fit(seed):
     return analytics.fit_power_law_tail(points, window, n_total=len(snap))
 
 
+def workforce_scarce_measures(seed):
+    """Criteria 2 and 6 from one workforce-scarce preset run with streamed
+    growth statistics: the dispersion-scaling fit and the central tent slope
+    as (slope, standard error, bins used)."""
+    cfg = model_config("ScenarioI", seed)
+    economy = Economy(cfg)
+    sized = GrowthAccumulator(min_size=10)
+    deviations = DeviationAccumulator()
+    for _ in range(cfg.iterations):
+        (batch,) = economy.step()
+        sized.update(batch)
+        deviations.update(batch)
+    return (analytics.fit_beta(sized.binned()),
+            analytics.central_tent_slope(deviations.histogram(), (0.02, 0.3)))
+
+
+def scaled_noise_beta(seed):
+    """Dispersion-scaling fit of one scaled-noise preset run (criterion 3)."""
+    cfg = baseline_config("ScaledBeta", seed)
+    sizes = cfg.initial_sizes()
+    acc = GrowthAccumulator(min_size=10)
+    for t in range(cfg.iterations):
+        before = sizes.astype(float)
+        sizes = step_scaled_beta(sizes, cfg.sigma**2, cfg.beta,
+                                 substream(cfg.seed, 0, t), cfg.replacement_mean)
+        acc.update(GrowthBatch(Metric.EMPLOYEES, before, sizes))
+    return analytics.fit_beta(acc.binned())
+
+
+def multiplicative_tail(seed):
+    """OLS tail fit of one multiplicative-noise preset run (criterion 4)."""
+    cfg = baseline_config("Multiplicative", seed)
+    sizes = cfg.initial_sizes()
+    for t in range(cfg.iterations):
+        sizes = step_scaled_beta(sizes, cfg.sigma**2, 0.0,
+                                 substream(cfg.seed, 0, t), cfg.replacement_mean)
+    snap = SizeSnapshot.from_values(cfg.iterations, sizes)
+    window = analytics.default_tail_range(snap.sizes)
+    ols, _ = analytics.fit_power_law_tail(analytics.ccdf(snap), window,
+                                          n_total=len(snap))
+    return ols
+
+
+def additive_moments(seed):
+    """Excess kurtosis and skewness of one additive-noise preset run (criterion 5)."""
+    cfg = baseline_config("Additive", seed)
+    sizes = cfg.initial_sizes(integer=False)
+    for t in range(cfg.iterations):
+        sizes = step_additive(sizes, cfg.sigma, substream(cfg.seed, 0, t),
+                              cfg.replacement_mean)
+    return float(sps.kurtosis(sizes)), float(sps.skew(sizes))
+
+
 @pytest.fixture(scope="module")
 def demand_scarce_alphas():
     """Tail exponents of 5 seeds of the demand-scarce preset. The seeds are
@@ -61,16 +117,8 @@ def demand_scarce_alphas():
 
 @pytest.fixture(scope="module")
 def workforce_scarce_run():
-    """One full workforce-scarce preset run with streamed growth statistics."""
-    cfg = model_config("ScenarioI", seed=1)
-    economy = Economy(cfg)
-    sized = GrowthAccumulator(min_size=10)
-    deviations = DeviationAccumulator()
-    for _ in range(cfg.iterations):
-        (batch,) = economy.step()
-        sized.update(batch)
-        deviations.update(batch)
-    return sized, deviations
+    """Criteria 2 and 6 share one full workforce-scarce preset run."""
+    return workforce_scarce_measures(seed=1)
 
 
 def test_criterion_01_size_distribution_exponent(demand_scarce_alphas):
@@ -82,8 +130,7 @@ def test_criterion_01_size_distribution_exponent(demand_scarce_alphas):
 
 
 def test_criterion_02_beta_recovery_from_model(workforce_scarce_run):
-    sized, _ = workforce_scarce_run
-    beta = analytics.fit_beta(sized.binned())
+    beta, _ = workforce_scarce_run
     report(2, "dispersion scaling of the market model",
            0.45 <= beta.exponent <= 0.55,
            f"beta {beta.exponent:.3f} +/- {beta.std_error:.3f} from "
@@ -91,49 +138,25 @@ def test_criterion_02_beta_recovery_from_model(workforce_scarce_run):
 
 
 def test_criterion_03_scaled_noise_recovery():
-    cfg = baseline_config("ScaledBeta", seed=1)
-    sizes = cfg.initial_sizes()
-    acc = GrowthAccumulator(min_size=10)
-    for t in range(cfg.iterations):
-        before = sizes.astype(float)
-        sizes = step_scaled_beta(sizes, cfg.sigma**2, cfg.beta,
-                                 substream(cfg.seed, 0, t), cfg.replacement_mean)
-        acc.update(GrowthBatch(Metric.EMPLOYEES, before, sizes))
-    beta = analytics.fit_beta(acc.binned())
+    beta = scaled_noise_beta(seed=1)
     report(3, "scaled-noise exponent recovery", 0.21 <= beta.exponent <= 0.31,
            f"beta {beta.exponent:.3f} from a 0.25-scaling run, band [0.21, 0.31]")
 
 
 def test_criterion_04_multiplicative_baseline_tail():
-    cfg = baseline_config("Multiplicative", seed=1)
-    sizes = cfg.initial_sizes()
-    for t in range(cfg.iterations):
-        sizes = step_scaled_beta(sizes, cfg.sigma**2, 0.0,
-                                 substream(cfg.seed, 0, t), cfg.replacement_mean)
-    snap = SizeSnapshot.from_values(cfg.iterations, sizes)
-    window = analytics.default_tail_range(snap.sizes)
-    ols, _ = analytics.fit_power_law_tail(analytics.ccdf(snap), window,
-                                          n_total=len(snap))
+    ols = multiplicative_tail(seed=1)
     report(4, "multiplicative-noise tail", 0.9 <= ols.exponent <= 1.3,
            f"tail alpha {ols.exponent:.3f} at sigma 0.2, band [0.9, 1.3]")
 
 
 def test_criterion_05_additive_baseline_moments():
-    cfg = baseline_config("Additive", seed=1)
-    sizes = cfg.initial_sizes(integer=False)
-    for t in range(cfg.iterations):
-        sizes = step_additive(sizes, cfg.sigma, substream(cfg.seed, 0, t),
-                              cfg.replacement_mean)
-    kurt = float(sps.kurtosis(sizes))
-    skew = float(sps.skew(sizes))
+    kurt, skew = additive_moments(seed=1)
     report(5, "additive-noise moments", abs(kurt) < 0.5 and abs(skew) < 0.3,
            f"excess kurtosis {kurt:+.3f} (|.|<0.5), skewness {skew:+.3f} (|.|<0.3)")
 
 
 def test_criterion_06_tent_shape(workforce_scarce_run):
-    _, deviations = workforce_scarce_run
-    slope, se, used = analytics.central_tent_slope(deviations.histogram(),
-                                                   (0.02, 0.3))
+    _, (slope, se, used) = workforce_scarce_run
     report(6, "tent-shaped aggregate growth", -1.3 <= slope <= -0.7,
            f"log-log slope {slope:.3f} +/- {se:.3f} over |g-1| in [0.02, 0.3] "
            f"({used} bins), band -1 +/- 0.3")

@@ -211,3 +211,5 @@ class TestBaselineConfig:
             BaselineConfig(beta=0.7)  # step_scaled_beta takes beta in [0, 0.5] only
         with pytest.raises(ValueError):
             BaselineConfig(n_units=10, n_workers=5)
+        with pytest.raises(ValueError):
+            BaselineConfig(n_units=50, n_workers=60, replacement_mean=1e30)

@@ -199,6 +199,22 @@ class TestMainEntry:
         assert "beta must lie in [0, 0.5]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags,message", [
+        ("--preset Custom --margin 1e300", "2**53"),
+        ("--preset ScenarioII --n-firms 50 --n-workers 2000 --price 1e-300", "2**53"),
+        ("--preset Custom --n-firms 50 --n-workers 60 --replacement-low 1e30 "
+         "--replacement-high 1e30", "replacement_high must be at most n_workers"),
+        ("--preset ScaledBeta --n-units 50 --n-workers 60 --replacement-mean 1e30",
+         "replacement_mean must be at most n_workers"),
+        ("--preset MarsiliSequential --n-units 50 --n-workers 60 --replacement-mean 1e30",
+         "replacement_mean must be at most n_workers"),
+    ], ids=["margin", "price", "replacement-high", "scaled-replacement-mean",
+            "marsili-replacement-mean"])
+    def test_overflowing_parameter_is_config_error(self, flags, message, tmp_path, capsys):
+        assert cli.main(["run", *flags.split(), "--iterations", "2", "-o", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_duplicate_seeds_are_config_error(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "Custom", "--seeds", "1,2,1",
                          "-o", str(tmp_path)]) == 1

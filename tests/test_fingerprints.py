@@ -10,10 +10,12 @@ import pytest
 
 from firmgrowth import cli
 
+# Hashes 0, 7 and 8 (the WorkersOnlyConsume runs) were restated when
+# replace_extinct switched to slot sampling: same removal law, new draws.
 FINGERPRINTS = [
     ("--preset ScenarioII --n-firms 50 --n-workers 2000 --iterations 120 --seeds 9 "
      "--snapshot-times 60,120",
-     "850df2c0a68388ef6f97473c6404cbbf18ea359bca75b261135510229c905589"),
+     "5c41c94dc0a9425a078a0889e585bb82ecfa513fd11644ecd466b06913611d0d"),
     ("--preset ScenarioI --n-firms 200 --n-workers 20000 --iterations 200 --seeds 1,2",
      "214ae93334de57dbd6c5f7d1efce63886454129558686e063e677e5747406f7a"),
     ("--preset Additive --n-units 200 --n-workers 20000 --iterations 200 --seeds 3 "
@@ -32,9 +34,9 @@ FINGERPRINTS = [
      "2cf63d1dfd217b25947cb6ab5967fc573d394cb5d6d0d38e29d404395dfd8045"),
     ("--preset Custom --scenario WorkersOnlyConsume --allocation IndependentBinomial "
      "--seeds 4",
-     "e21684a2a96c35b7667c0abc33802411f60dddafe73b66722105f5840a8047a3"),
+     "ab1eb2c38f9ed8de74e5f59dbc7eec5cfadcefcff53137bc60fccdaa74472aa7"),
     ("--preset Custom --scenario WorkersOnlyConsume --rounding PerUnit --seeds 4",
-     "44a87106583d7b787f0b1425abeeb2529ae206ce260a5b3b474c08f6e978efaa"),
+     "1c51625f278004fa4719ea0573f70e0a27e4d4817bfc9927df372e597c4d4c19"),
     # 400 moves per iteration across 200 cities: several move blocks per step
     # and frequent refills of emptied cities.
     ("--preset MarsiliSequential --n-units 200 --n-workers 400 --move-fraction 1 "

@@ -1,8 +1,10 @@
 """Iteration-level behavior of both scarcity scenarios."""
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from firmgrowth import (
     Allocation,
@@ -220,6 +222,34 @@ class TestReplacement:
         assert count == 2
         assert (economy.job_offer >= 0).all()
 
+    @pytest.mark.parametrize("offers", [[0, 3, 5, 2], [0, 0, 4, 1, 3]])
+    def test_removed_offer_slots_follow_multivariate_hypergeometric(self, offers):
+        # Every entrant has size 2, so k = 2 * (dead firms) slots are removed.
+        # The removed counts must follow the exact pmf
+        # prod_i C(n_i, r_i) / C(N, k) over the surviving offers n_i.
+        reps = 20_000
+        cfg = ModelConfig(n_firms=len(offers), n_workers=10, margin=0.1,
+                          scenario=Scenario.WORKERS_ONLY_CONSUME,
+                          replacement_low=2.0, replacement_high=2.0, seed=17)
+        economy = Economy(cfg)
+        offers = np.array(offers, dtype=np.int64)
+        alive = offers > 0
+        k = 2 * int((~alive).sum())
+        observed = {}
+        for rep in range(reps):
+            economy.job_offer = offers.copy()
+            replace_extinct(economy, substream(17, 99, rep))
+            removed = tuple((offers - economy.job_offer)[alive].tolist())
+            observed[removed] = observed.get(removed, 0) + 1
+        n = offers[alive].tolist()
+        support = [r for r in itertools.product(*(range(m + 1) for m in n))
+                   if sum(r) == k]
+        pmf = [math.prod(math.comb(m, x) for m, x in zip(n, r)) / math.comb(sum(n), k)
+               for r in support]
+        assert set(observed) <= set(support)
+        counts = [observed.get(r, 0) for r in support]
+        assert sps.chisquare(counts, np.array(pmf) * reps).pvalue > 1e-3
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("scenario", [Scenario.FIRMS_CONSUME,
@@ -274,6 +304,16 @@ class TestConfigValidation:
             ModelConfig(replacement_low=0.5)
         with pytest.raises(ValueError):
             ModelConfig(replacement_low=2.0, replacement_high=1.0)
+        with pytest.raises(ValueError, match="replacement_high"):
+            ModelConfig(n_firms=50, n_workers=60, replacement_low=1e30, replacement_high=1e30)
+
+    def test_claims_stay_exact_integers(self):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            ModelConfig(margin=1e300)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            ModelConfig(price=1e-300)
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            ModelConfig(n_workers=2**53)
 
     def test_output_follows_size_after_step(self):
         cfg = ModelConfig(n_firms=4, n_workers=100, seed=15)
