@@ -1,10 +1,12 @@
 """Reference noise processes: additive, multiplicative, scaled, sequential."""
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from firmgrowth import (
     BaselineConfig,
@@ -37,6 +39,53 @@ def _cumsum_marsili(city_sizes, n_moves, rng, replacement_mean=1.5):
                 sizes[donor] -= 1
                 sizes[origin] += 1
     return sizes
+
+
+def _marsili_law(city_sizes, n_moves, entrant_pmf):
+    """Exact pmf of the sizes after ``step_marsili_sequential``, by dynamic
+    programming over size tuples. A move takes a worker from a city picked in
+    proportion to size and places it in a city picked in proportion to the
+    sizes after the removal. If that empties the origin, an entrant count is
+    drawn from ``entrant_pmf`` (capped at total - 1), and each entrant is a
+    donor worker picked uniformly from all workers, the origin's new ones
+    included, and moved to the origin."""
+    total = sum(city_sizes)
+
+    def donate(law, origin):
+        out = defaultdict(float)
+        for s, p in law.items():
+            for k, sk in enumerate(s):
+                if sk:
+                    c = list(s)
+                    c[k] -= 1
+                    c[origin] += 1
+                    out[tuple(c)] += p * sk / total
+        return out
+
+    law = {tuple(city_sizes): 1.0}
+    for _ in range(n_moves):
+        after = defaultdict(float)
+        for s, p in law.items():
+            for origin, so in enumerate(s):
+                for dest in range(len(s)):
+                    c = list(s)
+                    c[origin] -= 1
+                    weight = so * c[dest]
+                    if not weight:
+                        continue
+                    c[dest] += 1
+                    q = p * weight / (total * (total - 1))
+                    if c[origin]:
+                        after[tuple(c)] += q
+                        continue
+                    for entrant, pe in entrant_pmf.items():
+                        refill = {tuple(c): q * pe}
+                        for _ in range(min(entrant, total - 1)):
+                            refill = donate(refill, origin)
+                        for r, pr in refill.items():
+                            after[r] += pr
+        law = after
+    return law
 
 
 class TestAdditive:
@@ -184,6 +233,33 @@ class TestMarsiliSequential:
         out, _ = step_marsili_sequential(sizes, moves, rng, replacement_mean)
         assert np.array_equal(out, expected)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("city_sizes,moves", [([1, 2, 3], 3), ([1, 1, 4, 0], 4)])
+    @pytest.mark.parametrize("replacement_mean,entrant_pmf", [
+        (1.5, {1: 0.5, 2: 0.5}),  # uniform on [1, 2], probabilistically rounded
+        (3.0, {2: 0.125, 3: 0.75, 4: 0.125}),  # uniform on [2.5, 3.5]
+    ])
+    def test_final_sizes_follow_exact_law(self, city_sizes, moves, replacement_mean,
+                                          entrant_pmf):
+        # Tiny cities empty often, so refills and donor draws carry much of the
+        # law. The p-value threshold 1e-3 is fixed in advance; final-size
+        # tuples expected fewer than 5 times are pooled into one bin.
+        reps = 20_000
+        law = _marsili_law(city_sizes, moves, entrant_pmf)
+        assert sum(law.values()) == pytest.approx(1.0)
+        observed = Counter(
+            tuple(step_marsili_sequential(city_sizes, moves, substream(19, 0, rep),
+                                          replacement_mean)[0].tolist())
+            for rep in range(reps))
+        assert set(observed) <= set(law)
+        common = [s for s in law if law[s] * reps >= 5]
+        rare = [s for s in law if law[s] * reps < 5]
+        expected = [law[s] * reps for s in common]
+        counts = [observed[s] for s in common]
+        if rare:
+            expected.append(sum(law[s] for s in rare) * reps)
+            counts.append(sum(observed[s] for s in rare))
+        assert sps.chisquare(counts, expected).pvalue > 1e-3
 
     def test_too_many_moves_rejected(self):
         with pytest.raises(ValueError):
