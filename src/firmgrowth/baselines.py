@@ -112,12 +112,6 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     return out
 
 
-# Moves per block of pre-drawn integers. A refill rewinds the generator and
-# redraws only the moves used so far, so a block is kept short enough that
-# refill-heavy runs do not redraw much.
-_BLOCK = 256
-
-
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
                             replacement_mean: float = 1.5) -> tuple[np.ndarray, GrowthBatch]:
     """Sequential relocation dynamics: one worker moves at a time.
@@ -132,20 +126,16 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     never picked again. Growth records compare the sizes before and after the
     whole batch of moves.
 
-    The sizes sit in a left-sum tree: a list ``left`` of length ``top``, the
-    city count padded to a power of two, where node ``k`` has children
-    ``2k`` and ``2k + 1``, leaf ``top + i`` is city ``i``, and ``left[k]``
-    counts the workers in the left subtree of ``k``. A pick ``u`` walks once
-    from the root: left while ``u < left[k]``, else right with ``left[k]``
-    subtracted. It ends on the city ``np.searchsorted(np.cumsum(sizes), u,
-    side="right")`` names, never an empty one, and it writes -1 (taking a
-    worker) or +1 (placing one) into the nodes where it went left.
-
-    The move integers are drawn in blocks of up to ``_BLOCK`` moves by one
-    array-valued ``rng.integers`` call, which draws each element exactly as a
-    scalar call would. At a refill the generator is rewound to the start of
-    the block and only the moves used so far are redrawn, so every value and
-    the final generator state equal one scalar draw per pick.
+    Workers carry labels ``0 .. total - 1``, laid out city by city in
+    ``home`` at the start of the step, and ``moved`` holds the current city
+    of every worker the step has moved. A move draws a mover uniformly from
+    all workers, so its city is picked in proportion to size, and a host
+    uniformly from the other ``total - 1`` workers; the mover joins the
+    host's city, which is thereby picked in proportion to the sizes after
+    the removal. A refill's donors are labels drawn uniformly from all
+    workers. This is the law stated above, with one lookup per pick. Every
+    mover and host is drawn up front, so the draws differ from one scalar
+    draw per pick in order only.
     """
     sizes = np.asarray(city_sizes, dtype=np.int64).copy()
     if sizes.size == 0:
@@ -159,68 +149,26 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         raise ValueError(f"cannot move {n_moves} workers, only {total} exist")
     before = sizes.astype(float)
 
+    movers = rng.integers(total, size=n_moves)
+    hosts = rng.integers(total - 1, size=n_moves)
+    hosts += hosts >= movers  # skip the mover: uniform over the other workers
+    home = np.repeat(np.arange(sizes.size), sizes)
     size = sizes.tolist()
-    top = 1 << (len(size) - 1).bit_length()
-    sub = [0] * top + size + [0] * (top - len(size))  # subtree sums, leaves at top + i
-    for k in range(top - 1, 0, -1):
-        sub[k] = sub[2 * k] + sub[2 * k + 1]
-    left = [sub[2 * k] for k in range(top)]  # left[0] is unused
-    # Origin: uniform over all workers (== city proportional to size);
-    # destination: uniform over the total - 1 workers left in place.
-    highs = np.tile(np.array([total, total - 1], dtype=np.int64), _BLOCK)
-    done = 0
-    while done < n_moves:
-        block = min(_BLOCK, n_moves - done)
-        start = rng.bit_generator.state
-        picks = rng.integers(highs[:2 * block]).tolist()
-        for j in range(block):
-            u, k = picks[2 * j], 1  # origin: take the worker
-            while k < top:
-                c = left[k]
-                if u < c:
-                    left[k] = c - 1
-                    k += k
-                else:
-                    u -= c
-                    k += k + 1
-            origin = k - top
-            size[origin] -= 1
-            u, k = picks[2 * j + 1], 1  # destination: place it
-            while k < top:
-                c = left[k]
-                if u < c:
-                    left[k] = c + 1
-                    k += k
-                else:
-                    u -= c
-                    k += k + 1
-            size[k - top] += 1
-            if size[origin] == 0:
-                # Leave the generator where the scalar draws of moves 0..j leave it.
-                rng.bit_generator.state = start
-                block = j + 1
-                rng.integers(highs[:2 * block])
-                entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
-                entrant = min(entrant, total - 1)
-                for _ in range(entrant):
-                    u, k = int(rng.integers(total)), 1  # donor: take a worker
-                    while k < top:
-                        c = left[k]
-                        if u < c:
-                            left[k] = c - 1
-                            k += k
-                        else:
-                            u -= c
-                            k += k + 1
-                    size[k - top] -= 1
-                    size[origin] += 1
-                    k = top + origin
-                    while k > 1:  # +1 on every node whose left subtree holds origin
-                        if not k & 1:
-                            left[k >> 1] += 1
-                        k >>= 1
-                break
-        done += block
+    moved: dict[int, int] = {}
+    for u, v, home_u, home_v in zip(movers.tolist(), hosts.tolist(),
+                                    home[movers].tolist(), home[hosts].tolist()):
+        origin = moved.get(u, home_u)
+        dest = moved[u] = moved.get(v, home_v)
+        size[origin] -= 1
+        size[dest] += 1
+        if not size[origin]:
+            entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
+            entrant = min(entrant, total - 1)
+            donors = rng.integers(total, size=entrant)
+            for d, home_d in zip(donors.tolist(), home[donors].tolist()):
+                size[moved.get(d, home_d)] -= 1
+                moved[d] = origin
+            size[origin] += entrant
 
     sizes = np.array(size, dtype=np.int64)
     return sizes, GrowthBatch(Metric.EMPLOYEES, before, sizes)

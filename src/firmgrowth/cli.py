@@ -9,9 +9,10 @@ tables.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import math
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -325,18 +326,28 @@ def _seed_job(spec: RunSpec, seed: int) -> list[tuple[str, str]]:
             for p in sorted(paths)]
 
 
+def _naming_seed(seed: int, job):
+    """``job()``; an error it raises is re-raised with the seed named."""
+    try:
+        return job()
+    except Exception as exc:
+        raise RuntimeError(f"seed {seed}: {exc}") from exc
+
+
 def run(spec: RunSpec) -> int:
     """Simulate every seed of the spec and write the output manifest."""
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     results: dict[int, list[tuple[str, str]]] = {}
-    if spec.workers > 1 and len(spec.seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            futures = {pool.submit(_seed_job, spec, s): s for s in spec.seeds}
-            for fut, seed in futures.items():
-                results[seed] = fut.result()
+    # A forked pool starts all its workers at the first submit: no more than seeds.
+    workers = min(spec.workers, len(spec.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {s: pool.submit(_seed_job, spec, s) for s in spec.seeds}
+            for seed, fut in futures.items():
+                results[seed] = _naming_seed(seed, fut.result)
     else:
         for seed in spec.seeds:
-            results[seed] = _seed_job(spec, seed)
+            results[seed] = _naming_seed(seed, functools.partial(_seed_job, spec, seed))
 
     config_rows: list[tuple[str, str, str, str]] = [
         ("", "run", "preset", spec.preset),

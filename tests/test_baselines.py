@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -17,28 +17,7 @@ from firmgrowth import (
     step_marsili_sequential,
     step_scaled_beta,
 )
-from firmgrowth.baselines import _BLOCK, _replacement_draw
 from firmgrowth.rng import substream
-
-
-def _cumsum_marsili(city_sizes, n_moves, rng, replacement_mean=1.5):
-    """The per-move cumsum loop ``step_marsili_sequential`` replaced: one scalar
-    draw per pick, kept as the reference for draws and final sizes."""
-    sizes = np.asarray(city_sizes, dtype=np.int64).copy()
-    total = int(sizes.sum())
-    for _ in range(n_moves):
-        origin = int(np.searchsorted(np.cumsum(sizes), rng.integers(total), side="right"))
-        sizes[origin] -= 1
-        dest = int(np.searchsorted(np.cumsum(sizes), rng.integers(total - 1), side="right"))
-        sizes[dest] += 1
-        if sizes[origin] == 0:
-            entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
-            entrant = min(entrant, total - 1)
-            for _ in range(entrant):
-                donor = int(np.searchsorted(np.cumsum(sizes), rng.integers(total), side="right"))
-                sizes[donor] -= 1
-                sizes[origin] += 1
-    return sizes
 
 
 def _marsili_law(city_sizes, n_moves, entrant_pmf):
@@ -208,31 +187,6 @@ class TestMarsiliSequential:
             assert (sizes >= 1).all()
             seen_refill = seen_refill or sizes[0] != 1
         assert seen_refill
-
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40),
-           st.integers(0, 2), st.integers(0, _BLOCK),
-           st.integers(0, 2**32), st.sampled_from([1.5, 3.0]))
-    @settings(max_examples=60, deadline=None)
-    # The calibrated 500 cities (padded to 512), an exact power of two, and one
-    # past it (padded to 1,024); cities of size 1 make these runs refill.
-    @example(small=[i % 7 for i in range(499)], blocks=1, extra=100, seed=5,
-             replacement_mean=1.5)
-    @example(small=[i % 7 for i in range(511)], blocks=1, extra=100, seed=6,
-             replacement_mean=3.0)
-    @example(small=[i % 7 for i in range(512)], blocks=1, extra=100, seed=7,
-             replacement_mean=1.5)
-    def test_matches_cumsum_loop(self, small, blocks, extra, seed, replacement_mean):
-        # Small cities (zeros included) empty often and force refills; one
-        # large city lets a step run past two blocks. Equal sizes and an equal
-        # generator state show the block draws and the rewind consume exactly
-        # the scalar stream.
-        moves = blocks * _BLOCK + extra
-        sizes = [*small, moves + 2]
-        ref_rng, rng = substream(seed, 0), substream(seed, 0)
-        expected = _cumsum_marsili(sizes, moves, ref_rng, replacement_mean)
-        out, _ = step_marsili_sequential(sizes, moves, rng, replacement_mean)
-        assert np.array_equal(out, expected)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("city_sizes,moves", [([1, 2, 3], 3), ([1, 1, 4, 0], 4)])
     @pytest.mark.parametrize("replacement_mean,entrant_pmf", [

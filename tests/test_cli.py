@@ -1,4 +1,5 @@
 """Config parsing, run orchestration, CSV outputs and exit codes."""
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,33 @@ class TestParseConfig:
             parse_config("n_firms = 1\nn_workers = 100\n")
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stand in for the process pool: run each job inline, record ``max_workers``."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:  # noqa: BLE001 - the future carries it
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 SMALL_RUN = dict(preset="Custom",
                  overrides=dict(n_firms=20, n_workers=600, iterations=40,
                                 margin=0.1),
@@ -114,6 +142,32 @@ class TestRun:
         run(serial)
         run(pooled)
         assert read_bytes_tree(tmp_path / "serial") == read_bytes_tree(tmp_path / "pooled")
+
+    def test_pool_starts_no_more_workers_than_seeds(self, tmp_path, inline_pool):
+        run(RunSpec(output_dir=tmp_path / "two", workers=8, **SMALL_RUN))
+        run(RunSpec(output_dir=tmp_path / "one", workers=8, **{**SMALL_RUN, "seeds": [3]}))
+        assert inline_pool == [2]  # one seed runs serially, with no pool
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_runtime_error_names_failing_seed(self, workers, tmp_path, inline_pool,
+                                              monkeypatch, capsys):
+        stepper = cli._stepper
+
+        def failing_stepper(kind, cfg):
+            advance = stepper(kind, cfg)
+
+            def step(t):
+                if cfg.seed == 4 and t == 5:
+                    raise ValueError("sizes must be positive")
+                return advance(t)
+            return step
+
+        monkeypatch.setattr(cli, "_stepper", failing_stepper)
+        assert cli.main(["run", "--preset", "Custom", "--n-firms", "15", "--n-workers", "300",
+                         "--iterations", "10", "--seeds", "3,4", "--workers", workers,
+                         "-o", str(tmp_path)]) == 2
+        assert "runtime error: seed 4: sizes must be positive" in capsys.readouterr().err
+        assert inline_pool == ([2] if workers == "2" else [])
 
     def test_snapshot_schema(self, tmp_path):
         spec = RunSpec(output_dir=tmp_path / "out", **SMALL_RUN)

@@ -12,6 +12,8 @@ from firmgrowth import cli
 
 # Hashes 0, 7 and 8 (the WorkersOnlyConsume runs) were restated when
 # replace_extinct switched to slot sampling: same removal law, new draws.
+# Hashes 5 and 9 (the Marsili runs) were restated when the Marsili step moved
+# to worker labels with up-front draws: same law, new draws.
 FINGERPRINTS = [
     ("--preset ScenarioII --n-firms 50 --n-workers 2000 --iterations 120 --seeds 9 "
      "--snapshot-times 60,120",
@@ -29,7 +31,7 @@ FINGERPRINTS = [
      "1c429d2fffd386cd3612aa07e3b14ebfecf1706c995ef3252d743285f758024d"),
     ("--preset MarsiliSequential --n-units 50 --n-workers 2000 --iterations 40 --seeds 3 "
      "--snapshot-times 20,40",
-     "dcb80b57b7fcefb60b168137d7c30ceb17247014b00c9c354038db612e318f20"),
+     "221935e4b87fbec8f7bea7785872a752bb86e798cb4ca28a7c11d24057f566ce"),
     ("--preset Custom --seeds 4",
      "2cf63d1dfd217b25947cb6ab5967fc573d394cb5d6d0d38e29d404395dfd8045"),
     ("--preset Custom --scenario WorkersOnlyConsume --allocation IndependentBinomial "
@@ -37,11 +39,11 @@ FINGERPRINTS = [
      "ab1eb2c38f9ed8de74e5f59dbc7eec5cfadcefcff53137bc60fccdaa74472aa7"),
     ("--preset Custom --scenario WorkersOnlyConsume --rounding PerUnit --seeds 4",
      "1c51625f278004fa4719ea0573f70e0a27e4d4817bfc9927df372e597c4d4c19"),
-    # 400 moves per iteration across 200 cities: several move blocks per step
-    # and frequent refills of emptied cities.
+    # 400 moves per iteration across 200 cities of 2 workers: refills and their
+    # donor draws run about 30 times per step.
     ("--preset MarsiliSequential --n-units 200 --n-workers 400 --move-fraction 1 "
      "--iterations 30 --seeds 1,2 --snapshot-times 15,30",
-     "d9ad36eb65df966637028d9e350128d444d37d34d921f30726ab0f5797d82141"),
+     "773b6bb0a964237a9c92e8df94f7b1acde181ec2bcf1b2404c779d5eed51e90d"),
 ]
 
 

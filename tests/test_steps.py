@@ -273,17 +273,23 @@ class TestDeterminism:
                 assert np.array_equal(x, y)
 
     def test_allocation_mode_does_not_shift_replacement_draws(self):
-        # the same firms die and the same entrant sizes are drawn under both
-        # allocation modes whenever the death pattern coincides
-        sizes = {}
+        # The initial offers (the sizes) sum to less than n_workers, so the job
+        # market does not bind and the same firms die under both modes. The
+        # goods market binds, so the modes do diverge there.
+        initial = np.tile([0, 6, 9, 0, 12], 8)
+        economies = []
         for alloc in Allocation:
-            cfg = ModelConfig(n_firms=60, n_workers=600, margin=0.1,
-                              allocation=alloc, seed=14, iterations=40)
-            economy = Economy(cfg)
-            for _ in range(40):
-                economy.step()
-            sizes[alloc] = economy.size.sum()
-        assert set(sizes.values())  # both ran; streams independent by design
+            cfg = ModelConfig(n_firms=initial.size, n_workers=600, margin=0.1,
+                              scenario=Scenario.WORKERS_ONLY_CONSUME,
+                              allocation=alloc, seed=14, iterations=1)
+            economy = Economy(cfg, initial_sizes=initial)
+            economy.step()
+            economies.append(economy)
+        a, b = economies
+        assert np.array_equal(a.last_replaced, np.flatnonzero(initial == 0))
+        assert np.array_equal(a.last_replaced, b.last_replaced)
+        assert np.array_equal(a.job_offer[a.last_replaced], b.job_offer[b.last_replaced])
+        assert not np.array_equal(a.sold, b.sold)
 
 
 class TestConfigValidation:
