@@ -9,10 +9,10 @@ tables.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import functools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -341,7 +341,7 @@ def run(spec: RunSpec) -> int:
     # A forked pool starts all its workers at the first submit: no more than seeds.
     workers = min(spec.workers, len(spec.seeds))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {s: pool.submit(_seed_job, spec, s) for s in spec.seeds}
             for seed, fut in futures.items():
                 results[seed] = _naming_seed(seed, fut.result)

@@ -105,7 +105,7 @@ def inline_pool(monkeypatch):
                 future.set_exception(exc)
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
