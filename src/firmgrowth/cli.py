@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
@@ -326,10 +325,10 @@ def _seed_job(spec: RunSpec, seed: int) -> list[tuple[str, str]]:
             for p in sorted(paths)]
 
 
-def _naming_seed(seed: int, job):
-    """``job()``; an error it raises is re-raised with the seed named."""
+def _naming_seed(seed: int, fn, *args):
+    """``fn(*args)``; an error it raises is re-raised with the seed named."""
     try:
-        return job()
+        return fn(*args)
     except Exception as exc:
         raise RuntimeError(f"seed {seed}: {exc}") from exc
 
@@ -347,7 +346,7 @@ def run(spec: RunSpec) -> int:
                 results[seed] = _naming_seed(seed, fut.result)
     else:
         for seed in spec.seeds:
-            results[seed] = _naming_seed(seed, functools.partial(_seed_job, spec, seed))
+            results[seed] = _naming_seed(seed, _seed_job, spec, seed)
 
     config_rows: list[tuple[str, str, str, str]] = [
         ("", "run", "preset", spec.preset),
