@@ -94,12 +94,6 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, se
 
 
-def _filtered(batch: GrowthBatch, min_size: float) -> tuple[np.ndarray, np.ndarray]:
-    """(size_before, size_after) of the records with ``min_size <= size_before``."""
-    keep = batch.size_before >= min_size
-    return batch.size_before[keep], batch.size_after[keep]
-
-
 def ccdf(snapshot: SizeSnapshot) -> np.ndarray:
     """Counter-cumulative distribution: rows of (size, P(n >= size)).
 
@@ -201,6 +195,22 @@ _TENT_WINDOW = (0.02, 0.5)
 _MIN_COUNT = 30
 
 
+def _growth_bin(g: np.ndarray) -> np.ndarray:
+    """Histogram bin of each growth rate over ``_EDGES``, rates above ``_G_MAX``
+    in the last bin: the index ``np.histogram`` finds for uniform bins.
+
+    The scaled rate is truncated, then moved down one bin where rounding put
+    it above its rate and up one where it put it below (bins are closed on
+    the left). ``fmin`` clamps large rates before the cast and sends NaN to
+    the last bin, as ``searchsorted`` does.
+    """
+    idx = (np.fmin(g, _G_MAX) * (_G_BINS / _G_MAX)).astype(np.intp)
+    np.minimum(idx, _G_BINS - 1, out=idx)
+    idx -= g < _EDGES[idx]
+    idx += (g >= _EDGES[idx + 1]) & (idx < _G_BINS - 1)
+    return idx
+
+
 def _tent_slope(hist_counts: np.ndarray, count: int) -> float:
     # Log density against |g - 1| inside the tent window; the slope is the
     # Laplacian-style decay rate used to read off sigma(n) from plots.
@@ -240,7 +250,7 @@ class GrowthAccumulator:
         return int(self._table[:, :_G_BINS].sum())
 
     def update(self, batch: GrowthBatch) -> None:
-        before, after = _filtered(batch, self.min_size)
+        before, after = batch.records(self.min_size)
         if before.size == 0:
             return
         g = after / before
@@ -248,7 +258,7 @@ class GrowthAccumulator:
         if over.any():
             self.overflow += int(over.sum())
             self.g_max = max(self.g_max, float(g[over].max()))
-        g_bin = np.minimum(np.searchsorted(_EDGES, g, side="right") - 1, _G_BINS - 1)
+        g_bin = _growth_bin(g)
 
         ks = np.floor(self.bins_per_decade * np.log10(before)).astype(np.int64)
         rows = ks - self._k0
@@ -340,7 +350,7 @@ class DeviationAccumulator:
         self.counts = np.zeros(n_bins, dtype=np.int64)
 
     def update(self, batch: GrowthBatch) -> None:
-        before, after = _filtered(batch, self.min_size)
+        before, after = batch.records(self.min_size)
         if before.size == 0:
             return
         dev = np.abs(after / before - 1.0)

@@ -28,11 +28,11 @@ def write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
 
 
 def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
-    # One f-string per row over Python floats, with the ".9g" of fmt: the same
-    # bytes as fmt() per field, without a numpy scalar per element.
-    columns = (np.asarray(c, dtype=float).tolist() for c in (sizes, outputs, solds))
-    body = "".join(f"{t},{i},{s:.9g},{o:.9g},{d:.9g}\n"
-                   for i, (s, o, d) in enumerate(zip(*columns)))
+    # "%.9g" renders a float as fmt() does, so one format over the whole
+    # table writes the same bytes as fmt() per field.
+    n = np.size(sizes)
+    table = np.column_stack((np.arange(n, dtype=float), sizes, outputs, solds))
+    body = (f"{t},%d,%.9g,%.9g,%.9g\n" * n) % tuple(table.ravel().tolist())
     with open(path, "w", newline="") as fh:
         fh.write("t,firm_id,size,output,sold\n" + body)
 

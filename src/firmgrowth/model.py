@@ -123,21 +123,36 @@ class MarketProbabilities:
 class GrowthBatch:
     """Columnar (size before, size after) records for one iteration and one metric.
 
-    Records of firms that were empty before the iteration are dropped: their
-    growth rate ``size_after / size_before`` is undefined.
+    Records of firms that were empty before the iteration are left out: their
+    growth rate ``size_after / size_before`` is undefined. The batch holds the
+    arrays it is given (float arrays are not copied) and masks them once per
+    read, so a reader that drops small firms as well masks only once.
     """
 
-    __slots__ = ("metric", "size_before", "size_after")
+    __slots__ = ("metric", "_before", "_after")
 
     def __init__(self, metric: Metric, size_before, size_after):
         before = np.asarray(size_before, dtype=float)
         after = np.asarray(size_after, dtype=float)
         if before.shape != after.shape:
             raise ValueError("size_before and size_after must have matching shapes")
-        keep = before > 0
         self.metric = metric
-        self.size_before = before[keep]
-        self.size_after = after[keep]
+        self._before = before
+        self._after = after
+
+    def records(self, min_size: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """(size_before, size_after) of the records with ``size_before > 0`` and
+        ``size_before >= min_size``."""
+        keep = self._before >= min_size if min_size > 0 else self._before > 0
+        return self._before[keep], self._after[keep]
+
+    @property
+    def size_before(self) -> np.ndarray:
+        return self.records()[0]
+
+    @property
+    def size_after(self) -> np.ndarray:
+        return self.records()[1]
 
 
 def expected_margin(output, size, wage: float = 1.0, price: float = 1.0):
@@ -329,14 +344,13 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
         raise ValueError("economy is not in the workers-only-consume scenario")
     t = economy.time
     w, p, mu = cfg.wage, cfg.price, cfg.margin
-
-    size_before = economy.size.copy()
-    sold_before = economy.sold.copy()
+    # Neither array is changed in place below: the step assigns new ones.
+    size_before, sold_before = economy.size, economy.sold
 
     plan_rng = substream(cfg.seed, OFFER_STREAM, t)
     if cfg.rounding is Rounding.PER_UNIT:
         # Each previously sold good respawns as one or two goods to produce.
-        prev_units = np.rint(economy.sold).astype(np.int64)
+        prev_units = np.rint(sold_before).astype(np.int64)
         planned = (prev_units + plan_rng.binomial(prev_units, mu)).astype(float)
     else:
         planned = plan_production(economy.output, economy.realized_margin)
@@ -352,40 +366,35 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     else:
         hired = offers.copy()
     economy.size = hired
-    economy.employed = int(hired.sum())
+    economy.employed = employed = int(hired.sum())
     fill = min(1.0, cfg.n_workers / total_offers) if total_offers > 0 else 1.0
 
-    economy.output = production(economy.size, mu, w, p)
+    economy.output = production(hired, mu, w, p)
     # Goods are traded in units of one: the fractional production is rounded
     # unbiasedly for the market, while planning keeps the exact quantity
     # (otherwise the aggregate job offer, hence employment, would drift).
     goods_rng = substream(cfg.seed, GOODS_ROUND_STREAM, t)
     units = round_array(economy.output, goods_rng)
-    demand_units = int(round_array(
-        np.asarray([economy.size.sum() * w / p]), goods_rng)[0])
+    demand_units = int(round_array(employed * w / p, goods_rng))
     supply_units = int(units.sum())
     sold = allocate_market(units, demand_units, cfg.allocation,
-                           substream(cfg.seed, GOODS_MARKET_STREAM, t))
-    economy.sold = sold.astype(float)
+                           substream(cfg.seed, GOODS_MARKET_STREAM, t)).astype(float)
+    economy.sold = sold
     sell = min(1.0, demand_units / supply_units) if supply_units > 0 else 1.0
     economy.realized_margin = np.where(
-        economy.size > 0, expected_margin(economy.sold, np.maximum(economy.size, 1), w, p), 0.0)
+        hired > 0, expected_margin(sold, np.maximum(hired, 1), w, p), 0.0)
     economy.market = MarketProbabilities(fill, sell, float(demand_units), float(supply_units))
 
     # A replaced firm's trajectories end at zero: the entrant that takes its
     # slot is a different firm, and its first sizes are not growth of the old one.
-    emp_after = economy.size.astype(float)
-    sales_after = economy.sold.copy()
+    emp_after = hired.astype(float)
+    sales_after = sold.copy()
     emp_after[economy.last_replaced] = 0.0
     sales_after[economy.last_replaced] = 0.0
-    batches = [
-        GrowthBatch(Metric.EMPLOYEES, size_before, emp_after),
-        GrowthBatch(Metric.SALES, sold_before, sales_after),
-    ]
-
     economy.replaced_last = replaced
     economy.time += 1
-    return batches
+    return [GrowthBatch(Metric.EMPLOYEES, size_before, emp_after),
+            GrowthBatch(Metric.SALES, sold_before, sales_after)]
 
 
 def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:

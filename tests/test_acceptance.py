@@ -107,18 +107,28 @@ def additive_moments(seed):
 
 
 @pytest.fixture(scope="module")
-def demand_scarce_alphas():
-    """Tail exponents of 5 seeds of the demand-scarce preset. The seeds are
-    independent, so two worker processes run them, as ``cli.run`` does."""
+def heavy_runs():
+    """The module's two heavy measurements in one pool of two worker
+    processes: the ScenarioI run of criteria 2 and 6, the longest job, goes
+    first, then criterion 1's five ScenarioII seeds. The runs are independent,
+    so the pool changes none of their numbers."""
     context = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
-        return list(pool.map(demand_scarce_fit, (1, 2, 3, 4, 5)))
+        workforce = pool.submit(workforce_scarce_measures, 1)
+        demand = [pool.submit(demand_scarce_fit, seed) for seed in (1, 2, 3, 4, 5)]
+        return workforce.result(), [future.result() for future in demand]
 
 
 @pytest.fixture(scope="module")
-def workforce_scarce_run():
-    """Criteria 2 and 6 share one full workforce-scarce preset run."""
-    return workforce_scarce_measures(seed=1)
+def demand_scarce_alphas(heavy_runs):
+    """Tail exponents of 5 seeds of the demand-scarce preset."""
+    return heavy_runs[1]
+
+
+@pytest.fixture(scope="module")
+def workforce_scarce_run(heavy_runs):
+    """Criteria 2 and 6 share one full workforce-scarce preset run (seed 1)."""
+    return heavy_runs[0]
 
 
 def test_criterion_01_size_distribution_exponent(demand_scarce_alphas):

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from firmgrowth.analytics import (
+    _EDGES,
+    _G_BINS,
     BinScheme,
     DeviationAccumulator,
     FitMethod,
@@ -17,6 +19,7 @@ from firmgrowth.analytics import (
     default_tail_range,
     fit_beta,
     fit_power_law_tail,
+    _growth_bin,
 )
 from firmgrowth.model import GrowthBatch, Metric
 
@@ -293,6 +296,19 @@ class TestAccumulatorStreaming:
         assert np.array_equal(counts[:101], np.histogram(np.tile(g, 3), edges)[0])
         assert acc.overflow == counts[101] == 6
         assert [b.count for b in acc.binned()] == [3 * g.size]
+
+    # Every edge with both float neighbours (the lower one only above 0,
+    # rates are never negative), on top of the drawn rates.
+    EDGE_RATES = np.concatenate([_EDGES, np.nextafter(_EDGES[1:], -np.inf),
+                                 np.nextafter(_EDGES, np.inf)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(2.0, 1e300),
+                              st.sampled_from(EDGE_RATES.tolist())), max_size=60))
+    def test_bin_index_matches_searchsorted(self, rates):
+        g = np.concatenate([self.EDGE_RATES, rates])
+        expected = np.minimum(np.searchsorted(_EDGES, g, side="right") - 1, _G_BINS - 1)
+        assert np.array_equal(_growth_bin(g), expected)
 
     def test_growth_batch_drops_empty_firms(self):
         batch = GrowthBatch(Metric.SALES, [10.0, 0.0, 5.0], [11.0, 3.0, 0.0])

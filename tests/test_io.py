@@ -1,0 +1,27 @@
+"""CSV emission: snapshot bytes against a per-row reference formatter."""
+import numpy as np
+
+from firmgrowth import io
+
+
+def reference_snapshot(t, sizes, outputs, solds) -> str:
+    """Snapshot text with one f-string per row, each field via ``.9g``."""
+    rows = "".join(f"{t},{i},{float(s):.9g},{float(o):.9g},{float(d):.9g}\n"
+                   for i, (s, o, d) in enumerate(zip(sizes, outputs, solds)))
+    return "t,firm_id,size,output,sold\n" + rows
+
+
+class TestWriteSnapshot:
+    def test_matches_per_row_formatter(self, tmp_path):
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300, 2.0**53,
+                   np.nextafter(1e9, 0.0), 1e9, np.nextafter(1e9, np.inf), 999_999_999.0,
+                   1_000_000_001.0, 123456789.5]
+        scaled = rng.random(200) * 10.0 ** rng.integers(-12, 16, 200)
+        floats = np.concatenate([special, scaled])
+        sizes = np.concatenate([[0, 1, 2**53, 10**9 - 1, 10**9, 10**9 + 1],
+                                rng.integers(0, 2**53, 100)])
+        outputs, solds = floats[:sizes.size], floats[::-1][:sizes.size]
+        path = tmp_path / "snapshot.csv"
+        io.write_snapshot(path, 40, sizes, outputs, solds)
+        assert path.read_bytes() == reference_snapshot(40, sizes, outputs, solds).encode()
