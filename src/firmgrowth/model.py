@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +30,12 @@ log = logging.getLogger(__name__)
 
 # Stream ids for per-iteration substreams. Fixed so that switching the
 # allocation mode or the rounding scheme cannot shift the draws that the
-# other stages of an iteration consume.
+# other stages of an iteration consume. Stages that share a stream draw in a
+# fixed order, and only the last of them may draw a number of values that
+# depends on the allocation mode or on the sampler chosen for its urn.
 OFFER_STREAM = 0
 JOB_MARKET_STREAM = 1
-GOODS_ROUND_STREAM = 2
-GOODS_MARKET_STREAM = 3
+GOODS_STREAM = 2  # goods rounding, demand rounding, then the goods market
 REPLACE_STREAM = 4
 
 
@@ -89,11 +91,6 @@ class ModelConfig:
             raise ValueError("margin must be positive")
         if self.wage <= 0 or self.price <= 0:
             raise ValueError("wage and price must be positive")
-        # Claims and goods are counted in float64 before rounding; above 2**53
-        # a float no longer holds every integer and the counts break.
-        largest_claim = self.n_workers * (1.0 + self.margin) * max(1.0, self.wage / self.price)
-        if not largest_claim < 2**53:
-            raise ValueError("n_workers * (1 + margin) * max(1, wage / price) must be below 2**53")
         if self.rounding is Rounding.PER_UNIT and not 0.0 <= self.margin <= 1.0:
             raise ValueError("per-unit rounding requires margin in [0, 1]")
         if self.replacement_low < 1.0:
@@ -102,6 +99,19 @@ class ModelConfig:
             raise ValueError("replacement_high must be >= replacement_low")
         if self.replacement_high > self.n_workers:
             raise ValueError("replacement_high must be at most n_workers")
+        # The largest market claim, in job offers or goods units: every worker
+        # employed plus an entrant of the largest size in every firm, grown by
+        # the margin (doubled, per unit) and rounded up in every firm.
+        workers = self.n_workers + self.n_firms * math.ceil(self.replacement_high)
+        growth = 2.0 if self.rounding is Rounding.PER_UNIT else 1.0 + self.margin
+        units = (workers * max(1.0, self.wage / self.price)
+                 + self.n_firms * max(1.0, self.price / self.wage))
+        largest_claim = growth * units + self.n_firms
+        if not largest_claim < 10**9:
+            raise ValueError(
+                f"the largest market claim ({largest_claim:.4g} job offers or goods units) "
+                "must be below 10**9, the largest urn numpy's samplers take; claims are "
+                "float64 counts, exact only below 2**53")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
 
@@ -217,6 +227,23 @@ def per_unit_offer_array(sizes, margin: float, rng: np.random.Generator) -> np.n
     return sizes + rng.binomial(sizes, margin)
 
 
+def _hypergeometric_method(total: int, k: int, n_colors: int) -> str:
+    """The faster of numpy's two exact multivariate hypergeometric samplers
+    for an urn of ``total`` units in ``n_colors`` colors, when the smaller of
+    the drawn and the left-over parts has ``k`` units.
+
+    ``"count"`` shuffles ``k`` of the ``total`` unit labels, and each swap
+    misses the cache more often as the label array grows; ``"marginals"``
+    draws one hypergeometric variate per color. The costs, in ns, were fitted
+    on a grid of urns (numpy 2.4, x86-64, 10 to 10,000 colors, up to 1.2M
+    units). Both samplers draw the same law, so the choice changes the draws
+    but not their distribution; it depends on the urn alone, so a
+    configuration plus a seed still pins every draw.
+    """
+    count_ns = 0.2 * total + 12.0 * k + 4e-5 * k * total
+    return "count" if count_ns < 155.0 * n_colors else "marginals"
+
+
 def allocate_market(demands, supply: int, mode: Allocation,
                     rng: np.random.Generator) -> np.ndarray:
     """Split a scarce integer supply among integer claims uniformly at random.
@@ -239,8 +266,9 @@ def allocate_market(demands, supply: int, mode: Allocation,
     if total <= supply:
         return d.copy()
     if mode is Allocation.EXACT_MATCHING:
-        return rng.multivariate_hypergeometric(d, int(supply)).astype(np.int64)
-    return rng.binomial(d, supply / total).astype(np.int64)
+        method = _hypergeometric_method(total, min(supply, total - supply), d.size)
+        return rng.multivariate_hypergeometric(d, int(supply), method=method)
+    return rng.binomial(d, supply / total)
 
 
 class Economy:
@@ -373,12 +401,11 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     # Goods are traded in units of one: the fractional production is rounded
     # unbiasedly for the market, while planning keeps the exact quantity
     # (otherwise the aggregate job offer, hence employment, would drift).
-    goods_rng = substream(cfg.seed, GOODS_ROUND_STREAM, t)
+    goods_rng = substream(cfg.seed, GOODS_STREAM, t)
     units = round_array(economy.output, goods_rng)
     demand_units = int(round_array(employed * w / p, goods_rng))
     supply_units = int(units.sum())
-    sold = allocate_market(units, demand_units, cfg.allocation,
-                           substream(cfg.seed, GOODS_MARKET_STREAM, t)).astype(float)
+    sold = allocate_market(units, demand_units, cfg.allocation, goods_rng).astype(float)
     economy.sold = sold
     sell = min(1.0, demand_units / supply_units) if supply_units > 0 else 1.0
     economy.realized_margin = np.where(

@@ -262,8 +262,9 @@ class TestMainEntry:
          "replacement_mean must be at most n_workers"),
         ("--preset MarsiliSequential --n-units 50 --n-workers 60 --replacement-mean 1e30",
          "replacement_mean must be at most n_workers"),
+        ("--preset Custom --n-firms 2 --n-workers 1000000000", "10**9"),
     ], ids=["margin", "price", "replacement-high", "scaled-replacement-mean",
-            "marsili-replacement-mean"])
+            "marsili-replacement-mean", "sampler-limit"])
     def test_overflowing_parameter_is_config_error(self, flags, message, tmp_path, capsys):
         assert cli.main(["run", *flags.split(), "--iterations", "2", "-o", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err

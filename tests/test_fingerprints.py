@@ -14,10 +14,14 @@ from firmgrowth import cli
 # replace_extinct switched to slot sampling: same removal law, new draws.
 # Hashes 5 and 9 (the Marsili runs) were restated when the Marsili step moved
 # to worker labels with up-front draws: same law, new draws.
+# Hashes 0, 6, 7 and 8 were restated again when allocate_market began to pick
+# numpy's sampler from the urn and the goods market joined the goods rounding
+# stream; each restated hash names its own reason below.
 FINGERPRINTS = [
+    # Goods urns of about 50 firms take numpy's "count" sampler, from the goods stream.
     ("--preset ScenarioII --n-firms 50 --n-workers 2000 --iterations 120 --seeds 9 "
      "--snapshot-times 60,120",
-     "5c41c94dc0a9425a078a0889e585bb82ecfa513fd11644ecd466b06913611d0d"),
+     "6727d7fb825daf707a379a659590f3455754532db849349c34a6f020f1d9b08b"),
     ("--preset ScenarioI --n-firms 200 --n-workers 20000 --iterations 200 --seeds 1,2",
      "214ae93334de57dbd6c5f7d1efce63886454129558686e063e677e5747406f7a"),
     ("--preset Additive --n-units 200 --n-workers 20000 --iterations 200 --seeds 3 "
@@ -32,13 +36,16 @@ FINGERPRINTS = [
     ("--preset MarsiliSequential --n-units 50 --n-workers 2000 --iterations 40 --seeds 3 "
      "--snapshot-times 20,40",
      "221935e4b87fbec8f7bea7785872a752bb86e798cb4ca28a7c11d24057f566ce"),
+    # Its job urn (100 firms, about 5,500 offers for 5,000 workers) takes "count".
     ("--preset Custom --seeds 4",
-     "2cf63d1dfd217b25947cb6ab5967fc573d394cb5d6d0d38e29d404395dfd8045"),
+     "55e2e9f35c113a505bc267296b9aa9600dd001d9a63dc309a6e052361d30a75b"),
+    # Binomial goods market: its draws now follow the goods rounding on one stream.
     ("--preset Custom --scenario WorkersOnlyConsume --allocation IndependentBinomial "
      "--seeds 4",
-     "ab1eb2c38f9ed8de74e5f59dbc7eec5cfadcefcff53137bc60fccdaa74472aa7"),
+     "d1b1ed21f94b295f8353b678125a156495317a0a726f2976813d98450171d8e8"),
+    # Goods urns take "count", from the goods stream.
     ("--preset Custom --scenario WorkersOnlyConsume --rounding PerUnit --seeds 4",
-     "1c51625f278004fa4719ea0573f70e0a27e4d4817bfc9927df372e597c4d4c19"),
+     "a67f06f0aa61dbf0fe3708df279df2ce267f85b993587a85a136327b06ff1262"),
     # 400 moves per iteration across 200 cities of 2 workers: refills and their
     # donor draws run about 30 times per step.
     ("--preset MarsiliSequential --n-units 200 --n-workers 400 --move-fraction 1 "

@@ -1,10 +1,13 @@
 """Unit tests for the per-firm accounting operations and market primitives."""
+import collections
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sps
 
 from firmgrowth import (
     Allocation,
@@ -16,6 +19,7 @@ from firmgrowth import (
     required_workers,
     round_array,
 )
+from firmgrowth.model import _hypergeometric_method
 from firmgrowth.rng import substream
 
 
@@ -164,6 +168,45 @@ class TestAllocateMarket:
         for value, prob in [(2, 1 / 6), (1, 4 / 6), (0, 1 / 6)]:
             observed = (first == value).mean()
             assert abs(observed - prob) < 4 * freq_se(prob, reps)
+
+    # Urns small enough to enumerate, two on each side of the sampler rule
+    # (many small claims take "count", few large ones "marginals"), with the
+    # supply below and above half of the claims.
+    @pytest.mark.parametrize("claims,supply,method", [
+        ([2, 3, 1, 4, 2], 4, "count"),
+        ([2, 3, 1, 4, 2], 7, "count"),
+        ([25, 35, 30], 45, "marginals"),
+        ([40, 50, 45], 90, "marginals"),
+    ])
+    def test_exact_matching_follows_multivariate_hypergeometric(self, claims, supply, method):
+        # The served counts must follow prod_i C(d_i, k_i) / C(D, supply);
+        # outcomes expected fewer than 5 times are pooled into one cell.
+        total = sum(claims)
+        k_min = min(supply, total - supply)
+        assert _hypergeometric_method(total, k_min, len(claims)) == method
+        reps = 20_000
+        rng = substream(23, len(claims), supply)
+        observed = collections.Counter(
+            tuple(allocate_market(claims, supply, Allocation.EXACT_MATCHING, rng).tolist())
+            for _ in range(reps))
+        support = [k for k in itertools.product(*(range(d + 1) for d in claims))
+                   if sum(k) == supply]
+        assert set(observed) <= set(support)
+        ways = math.comb(total, supply)
+        expected = reps * np.array([math.prod(map(math.comb, claims, k)) / ways
+                                    for k in support])
+        counts = np.array([observed[k] for k in support])
+        small = expected < 5
+        if small.any():
+            counts = np.append(counts[~small], counts[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        assert sps.chisquare(counts, expected).pvalue > 1e-3
+
+    def test_sampler_follows_urn_shape(self):
+        # ScenarioII's goods urn: 2,000 firms, about 99k units, 9k unsold.
+        assert _hypergeometric_method(99_000, 9_000, 2_000) == "count"
+        # ScenarioI's job urn: 10k firms, about 1.2M offers for 1M workers.
+        assert _hypergeometric_method(1_200_000, 200_000, 10_000) == "marginals"
 
     def test_average_fill_probability(self):
         # aggregate demand 11 per claimant against supply 10 each: fill 1/1.1

@@ -320,6 +320,8 @@ class TestConfigValidation:
             ModelConfig(price=1e-300)
         with pytest.raises(ValueError, match="2\\*\\*53"):
             ModelConfig(n_workers=2**53)
+        with pytest.raises(ValueError, match="10\\*\\*9"):
+            ModelConfig(n_firms=2, n_workers=10**9)
 
     def test_output_follows_size_after_step(self):
         cfg = ModelConfig(n_firms=4, n_workers=100, seed=15)
