@@ -10,9 +10,7 @@ from .model import (
     Rounding,
     Scenario,
     allocate_market,
-    expected_margin,
     per_unit_offer_array,
-    plan_production,
     production,
     replace_extinct,
     required_workers,

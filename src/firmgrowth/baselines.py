@@ -105,7 +105,12 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
         raise ValueError("sizes must be positive")
     sigma_n = math.sqrt(c) * n.astype(float) ** (-beta)
     g = 1.0 + rng.standard_normal(n.size) * sigma_n
-    out = round_array(np.maximum(g, 0.0) * n, rng)
+    grown = np.maximum(g, 0.0) * n
+    largest = grown.max()
+    if not largest < 2.0**63:
+        raise OverflowError(f"a unit grew to size {largest:.4g}, past the int64 range "
+                            "of integer sizes (2**63); lower sigma")
+    out = round_array(grown, rng)
     dead = np.flatnonzero(out == 0)
     if dead.size:
         out[dead] = _replacement_draw(dead.size, replacement_mean, rng)

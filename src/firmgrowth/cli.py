@@ -222,6 +222,8 @@ def materialize(spec: RunSpec, seed: int):
             cfg = BaselineConfig(**merged)
             if preset.kind == "marsili" and cfg.n_workers < 2:
                 raise ValueError("n_workers must be at least 2 for a worker to move")
+            if preset.kind in ("multiplicative", "scaled") and math.isinf(cfg.sigma * cfg.sigma):
+                raise ValueError("sigma**2, the growth variance at size 1, overflows a float")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     iters = cfg.iterations

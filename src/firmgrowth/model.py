@@ -165,14 +165,6 @@ class GrowthBatch:
         return self.records()[1]
 
 
-def expected_margin(output, size, wage: float = 1.0, price: float = 1.0):
-    """Profit margin (sales - expenses) / expenses of firms that sell ``output``
-    goods with ``size`` workers; scalars or arrays."""
-    if np.any(size < 1):
-        raise ValueError("margin is undefined for a firm with no employees")
-    return (output * price - size * wage) / (size * wage)
-
-
 def required_workers(planned_output, margin: float, wage: float = 1.0, price: float = 1.0):
     """Workers needed to produce ``planned_output`` goods at the expected margin.
 
@@ -188,13 +180,6 @@ def required_workers(planned_output, margin: float, wage: float = 1.0, price: fl
 def production(size, margin: float, wage: float = 1.0, price: float = 1.0):
     """Goods that firms with ``size`` workers produce in one iteration."""
     return size * (wage / price) * (1.0 + margin)
-
-
-def plan_production(prev_output, prev_realized_margin):
-    """Next production target: last output scaled by realized profitability."""
-    if np.any(prev_output < 0):
-        raise ValueError("prev_output must be non-negative")
-    return np.maximum(prev_output * (1.0 + prev_realized_margin), 0.0)
 
 
 def equal_split(total: int, n: int) -> np.ndarray:
@@ -300,7 +285,6 @@ class Economy:
         # Prior-period sales at their no-shortage expectation; only used to
         # seed the first planning step and the first sales growth record.
         self.sold = sizes * (w / p)
-        self.realized_margin = np.zeros(n)
         self.time = 0
         self.employed = int(sizes.sum())
         self.replaced_last = 0
@@ -346,7 +330,6 @@ def step_scenario_i(economy: Economy) -> list[GrowthBatch]:
     # Demand always suffices here: the whole production is sold.
     economy.output = production(economy.size, mu, w, p)
     economy.sold = economy.output.copy()
-    economy.realized_margin = np.where(economy.size > 0, mu, 0.0)
     q_total = float(economy.output.sum())
     economy.market = MarketProbabilities(fill, 1.0, q_total, q_total)
 
@@ -366,6 +349,11 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     goods are lost. Firms whose plan collapses to zero workers are replaced,
     with the entrants' job offers taken uniformly from the survivors so the
     aggregate offer is unchanged.
+
+    A firm that hired ``n`` workers and sold ``s`` goods made the margin
+    m = (s * p - n * w) / (n * w), and plans to produce its last output
+    grown by it: ``n * (w / p) * (1 + mu) * (1 + m) = s * (1 + mu)``. Those
+    goods need ``s * p / w`` workers, so that is the job offer, rounded.
     """
     cfg = economy.config
     if cfg.scenario is not Scenario.WORKERS_ONLY_CONSUME:
@@ -375,14 +363,21 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     # Neither array is changed in place below: the step assigns new ones.
     size_before, sold_before = economy.size, economy.sold
 
-    plan_rng = substream(cfg.seed, OFFER_STREAM, t)
     if cfg.rounding is Rounding.PER_UNIT:
         # Each previously sold good respawns as one or two goods to produce.
+        plan_rng = substream(cfg.seed, OFFER_STREAM, t)
         prev_units = np.rint(sold_before).astype(np.int64)
         planned = (prev_units + plan_rng.binomial(prev_units, mu)).astype(float)
+        economy.job_offer = round_array(required_workers(planned, mu, w, p), plan_rng)
     else:
-        planned = plan_production(economy.output, economy.realized_margin)
-    economy.job_offer = round_array(required_workers(planned, mu, w, p), plan_rng)
+        workers = sold_before * (p / w)
+        whole = np.floor(workers)
+        if (whole == workers).all():
+            # round_array returns integral values whatever it draws, and no
+            # other stage of this scenario reads the offer stream: skip it.
+            economy.job_offer = whole.astype(np.int64)
+        else:
+            economy.job_offer = round_array(workers, substream(cfg.seed, OFFER_STREAM, t))
 
     replaced = replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
 
@@ -408,8 +403,6 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     sold = allocate_market(units, demand_units, cfg.allocation, goods_rng).astype(float)
     economy.sold = sold
     sell = min(1.0, demand_units / supply_units) if supply_units > 0 else 1.0
-    economy.realized_margin = np.where(
-        hired > 0, expected_margin(sold, np.maximum(hired, 1), w, p), 0.0)
     economy.market = MarketProbabilities(fill, sell, float(demand_units), float(supply_units))
 
     # A replaced firm's trajectories end at zero: the entrant that takes its
@@ -452,7 +445,6 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
         economy.size[idx] = round_array(rng.uniform(lo, hi, idx.size), rng)
         economy.output[idx] = 0.0
         economy.sold[idx] = 0.0
-        economy.realized_margin[idx] = 0.0
         return int(idx.size)
 
     idx = np.flatnonzero(economy.job_offer == 0)

@@ -109,6 +109,12 @@ class TestMultiplicative:
         se = g.std(ddof=1) / math.sqrt(g.size)
         assert abs(g.mean() - 1.0) < 4 * se
 
+    def test_growth_past_int64_raises(self):
+        # g ~ Normal(1, 10**2): some of 64 units more than quadruple
+        sizes = np.full(64, 2**61, dtype=np.int64)
+        with pytest.raises(OverflowError, match="2\\*\\*63"):
+            step_scaled_beta(sizes, 100.0, 0.0, substream(7, 0))
+
     def test_extinct_units_replaced(self):
         rng = substream(6, 0)
         sizes = np.ones(20_000, dtype=np.int64)

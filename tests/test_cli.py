@@ -263,12 +263,24 @@ class TestMainEntry:
         ("--preset MarsiliSequential --n-units 50 --n-workers 60 --replacement-mean 1e30",
          "replacement_mean must be at most n_workers"),
         ("--preset Custom --n-firms 2 --n-workers 1000000000", "10**9"),
+        ("--preset Multiplicative --n-units 50 --n-workers 5000 --sigma 1e300",
+         "sigma**2"),
+        ("--preset ScaledBeta --n-units 50 --n-workers 5000 --sigma 1e300", "sigma**2"),
     ], ids=["margin", "price", "replacement-high", "scaled-replacement-mean",
-            "marsili-replacement-mean", "sampler-limit"])
+            "marsili-replacement-mean", "sampler-limit", "multiplicative-sigma",
+            "scaled-sigma"])
     def test_overflowing_parameter_is_config_error(self, flags, message, tmp_path, capsys):
         assert cli.main(["run", *flags.split(), "--iterations", "2", "-o", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_size_overflow_is_named_runtime_error(self, tmp_path, capsys):
+        # the sizes pass 2**63 after a few steps; the step says so before the
+        # integer cast wraps them
+        assert cli.main(["run", "--preset", "Multiplicative", "--sigma", "300",
+                         "--n-units", "50", "--n-workers", "5000", "--iterations", "200",
+                         "-o", str(tmp_path)]) == 2
+        assert "seed 1: a unit grew to size" in capsys.readouterr().err
 
     def test_duplicate_seeds_are_config_error(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "Custom", "--seeds", "1,2,1",

@@ -51,6 +51,10 @@ FINGERPRINTS = [
     ("--preset MarsiliSequential --n-units 200 --n-workers 400 --move-fraction 1 "
      "--iterations 30 --seeds 1,2 --snapshot-times 15,30",
      "773b6bb0a964237a9c92e8df94f7b1acde181ec2bcf1b2404c779d5eed51e90d"),
+    # Wage above price: job offers s * p / w are fractional and drawn from the
+    # offer stream, where p == w gives whole offers without a draw.
+    ("--preset Custom --scenario WorkersOnlyConsume --wage 1.3 --price 0.9 --seeds 4",
+     "39c32adf9a9b700d25cbfb004e580dd22d9471a954f4531e05b2bcd622f4d419"),
 ]
 
 

@@ -1,5 +1,6 @@
 """CSV emission: snapshot bytes against a per-row reference formatter."""
 import numpy as np
+import pytest
 
 from firmgrowth import io
 
@@ -25,3 +26,35 @@ class TestWriteSnapshot:
         path = tmp_path / "snapshot.csv"
         io.write_snapshot(path, 40, sizes, outputs, solds)
         assert path.read_bytes() == reference_snapshot(40, sizes, outputs, solds).encode()
+
+    # Columns written with "%d" (integral, below 1e9 in magnitude, no -0.0)
+    # and columns that fall back to "%.9g" for one value.
+    WHOLE = np.array([0.0, 1.0, -7.0, 123456789.0, 999_999_999.0, -999_999_999.0])
+    COLUMNS = [
+        (WHOLE, True),
+        (np.append(WHOLE, -0.0), False),
+        (np.append(WHOLE, 1e9), False),
+        (np.append(WHOLE, -1e9), False),
+        (np.append(WHOLE, 2.0**53), False),
+        (np.append(WHOLE, 0.5), False),
+        (np.append(WHOLE, np.nan), False),
+        (np.append(WHOLE, np.inf), False),
+        (WHOLE.astype(np.int64), True),
+        (np.append(WHOLE, 10**9).astype(np.int64), False),
+        (np.append(WHOLE, -10**9).astype(np.int64), False),
+        (np.append(WHOLE, 2**62).astype(np.int64), False),
+        (np.append(WHOLE, -2**63).astype(np.int64), False),
+    ]
+
+    @pytest.mark.parametrize("column,as_int", COLUMNS,
+                             ids=[f"{c.dtype}-{c[-1]}" for c, _ in COLUMNS])
+    def test_integral_columns(self, column, as_int, tmp_path):
+        assert io._int_column(column) is as_int
+        n = column.size
+        ints = np.arange(n, dtype=np.int64) * 3 - 5
+        halves = np.arange(n) + 0.5
+        path = tmp_path / "snapshot.csv"
+        for sizes, outputs, solds in [(column, halves, ints), (ints, column, column),
+                                      (halves, ints, column)]:
+            io.write_snapshot(path, 7, sizes, outputs, solds)
+            assert path.read_bytes() == reference_snapshot(7, sizes, outputs, solds).encode()

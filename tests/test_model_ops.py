@@ -12,9 +12,7 @@ from scipy import stats as sps
 from firmgrowth import (
     Allocation,
     allocate_market,
-    expected_margin,
     per_unit_offer_array,
-    plan_production,
     production,
     required_workers,
     round_array,
@@ -28,15 +26,6 @@ def freq_se(p, n):
 
 
 class TestAccounting:
-    def test_expected_margin(self):
-        assert expected_margin(1.1, 1, 1, 1) == pytest.approx(0.1)
-        assert expected_margin(1.0, 1, 1, 1) == 0.0
-        assert expected_margin(0.5, 1, 1, 1) == pytest.approx(-0.5)
-
-    def test_expected_margin_needs_employees(self):
-        with pytest.raises(ValueError):
-            expected_margin(1.0, 0, 1, 1)
-
     def test_required_workers(self):
         assert required_workers(1.1, 0.1, 1, 1) == pytest.approx(1.0)
         assert required_workers(0.0, 0.1, 1, 1) == 0.0
@@ -57,26 +46,13 @@ class TestAccounting:
         q = production(7, 0.15, 1.3, 0.9)
         assert required_workers(q, 0.15, 1.3, 0.9) == pytest.approx(7.0)
 
-    def test_plan_production(self):
-        assert plan_production(10, 0.1) == pytest.approx(11.0)
-        assert plan_production(10, 0.0) == 10.0
-        assert plan_production(10, -0.05) == pytest.approx(9.5)
-        assert plan_production(10, -1.5) == 0.0  # floored at zero
-
     def test_array_valued_with_vectorized_checks(self):
         size = np.array([10, 20])
         q = production(size, 0.1, 1.3, 0.9)
         assert q == pytest.approx([production(10, 0.1, 1.3, 0.9), production(20, 0.1, 1.3, 0.9)])
         assert required_workers(q, 0.1, 1.3, 0.9) == pytest.approx(size)
-        assert expected_margin(q, size, 1.3, 0.9) == pytest.approx([0.1, 0.1])
-        assert plan_production(np.array([10.0, 10.0]), np.array([0.1, -1.5])) \
-            == pytest.approx([11.0, 0.0])
-        with pytest.raises(ValueError):
-            expected_margin(np.ones(2), np.array([1, 0]))
         with pytest.raises(ValueError):
             required_workers(np.array([1.0, -1.0]), 0.1)
-        with pytest.raises(ValueError):
-            plan_production(np.array([1.0, -1.0]), np.zeros(2))
 
 
 class TestProbabilisticRound:

@@ -13,6 +13,7 @@ from firmgrowth import (
     ModelConfig,
     Rounding,
     Scenario,
+    model,
     replace_extinct,
     step_scenario_i,
     step_scenario_ii,
@@ -98,6 +99,13 @@ class TestScenarioI:
             step_scenario_i(Economy(cfg))
 
 
+def realized_margins(economy):
+    """(sales - wage bill) / wage bill of the last iteration; 0 for empty firms."""
+    cfg, size = economy.config, economy.size
+    bill = np.maximum(size, 1) * cfg.wage
+    return np.where(size > 0, (economy.sold * cfg.price - bill) / bill, 0.0)
+
+
 @pytest.fixture(scope="module")
 def demand_scarce_economy():
     cfg = ModelConfig(n_firms=2000, n_workers=90_000, margin=0.1,
@@ -127,7 +135,7 @@ class TestScenarioII:
     def test_average_realized_margin_is_zero(self, economy):
         econ, _ = economy
         alive = econ.size > 0
-        margins = econ.realized_margin[alive]
+        margins = realized_margins(econ)[alive]
         se = margins.std(ddof=1) / math.sqrt(margins.size)
         assert abs(margins.mean()) < 4 * se
 
@@ -173,12 +181,40 @@ class TestScenarioII:
         econ, _ = economy
         alive = econ.size > 0
         cap = econ.config.margin + 1.0 / econ.size[alive]
-        assert (econ.realized_margin[alive] <= cap + 1e-12).all()
+        assert (realized_margins(econ)[alive] <= cap + 1e-12).all()
 
     def test_scenario_guard(self):
         cfg = ModelConfig(n_firms=5, n_workers=50)
         with pytest.raises(ValueError):
             step_scenario_ii(Economy(cfg))
+
+    @pytest.mark.parametrize("wage,price", [(1.0, 1.0), (1.3, 0.9)])
+    def test_job_offers_follow_last_sales(self, wage, price, monkeypatch):
+        # Last output grown by the realized margin needs sold * p / w
+        # workers: whole when p == w, so no offer stream is built then.
+        streams, offers = [], []
+        substream, replace = model.substream, model.replace_extinct
+
+        def recording_substream(seed, stream, t):
+            streams.append(stream)
+            return substream(seed, stream, t)
+
+        def recording_replace(economy, rng):
+            offers.append(economy.job_offer.copy())
+            return replace(economy, rng)
+
+        monkeypatch.setattr(model, "substream", recording_substream)
+        monkeypatch.setattr(model, "replace_extinct", recording_replace)
+        cfg = ModelConfig(n_firms=40, n_workers=2000, wage=wage, price=price,
+                          scenario=Scenario.WORKERS_ONLY_CONSUME, seed=3, iterations=30)
+        economy = Economy(cfg)
+        for _ in range(30):
+            workers = economy.sold * (price / wage)
+            economy.step()
+            assert (np.abs(offers[-1] - workers) < 1).all()
+            if wage == price:
+                assert np.array_equal(offers[-1], workers)
+        assert (model.OFFER_STREAM in streams) is (wage != price)
 
 
 class TestReplacement:
