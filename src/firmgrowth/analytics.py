@@ -191,6 +191,9 @@ class SizeBinStats:
 _G_BINS = 101
 _G_MAX = 2.0
 _EDGES = np.linspace(0.0, _G_MAX, _G_BINS + 1)
+# Upper edge of each bin for the index's upward step; the last bin takes
+# everything above, and no rate compares >= NaN.
+_UPPER = np.append(_EDGES[1:-1], np.nan)
 _TENT_WINDOW = (0.02, 0.5)
 _MIN_COUNT = 30
 
@@ -207,7 +210,7 @@ def _growth_bin(g: np.ndarray) -> np.ndarray:
     idx = (np.fmin(g, _G_MAX) * (_G_BINS / _G_MAX)).astype(np.intp)
     np.minimum(idx, _G_BINS - 1, out=idx)
     idx -= g < _EDGES[idx]
-    idx += (g >= _EDGES[idx + 1]) & (idx < _G_BINS - 1)
+    idx += g >= _UPPER[idx]
     return idx
 
 

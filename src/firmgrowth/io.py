@@ -7,7 +7,6 @@ platform.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,20 +40,21 @@ def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
     # "%.9g" renders a float as fmt() does, so one format over the whole
     # table writes the same bytes as fmt() per field; "%d" on Python ints
     # writes the columns that allow it faster.
-    formats, columns = ["%d"], [range(np.size(sizes))]
-    for col in (sizes, outputs, solds):
+    n = np.size(sizes)
+    formats, fields = ["%d"], [None] * (4 * n)
+    fields[0::4] = range(n)
+    for j, col in enumerate((sizes, outputs, solds), start=1):
         col = np.asarray(col)
         if col.dtype.kind != "i":
             col = col.astype(float, copy=False)
         if _int_column(col):
             formats.append("%d")
-            columns.append(col.astype(np.int64).tolist())
+            fields[j::4] = col.astype(np.int64).tolist()
         else:
             formats.append("%.9g")
-            columns.append(col.astype(float, copy=False).tolist())
+            fields[j::4] = col.astype(float, copy=False).tolist()
     row = f"{t}," + ",".join(formats) + "\n"
-    fields = itertools.chain.from_iterable(zip(*columns, strict=True))
-    body = (row * len(columns[0])) % tuple(fields)
+    body = (row * n) % tuple(fields)
     with open(path, "w", newline="") as fh:
         fh.write("t,firm_id,size,output,sold\n" + body)
 

@@ -453,8 +453,7 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
         return 0
     entrant_sizes = round_array(rng.uniform(lo, hi, idx.size), rng)
     added = int(entrant_sizes.sum())
-    surviving = economy.job_offer.copy()
-    surviving[idx] = 0
+    surviving = economy.job_offer  # the dead firms' offers are 0 already
     available = int(surviving.sum())
     removed_total = min(added, available)
     if removed_total < added:

@@ -28,7 +28,10 @@ _POOL = 4
 _BLOCK = 1024     # last key parts seeded together; 32 KiB of words
 _MAX_HEADS = 64   # (seed, head) prefixes remembered, oldest dropped first
 # Prefix -> (first last part, words) of its block; None after its first call.
+# Every entry is a pure function of its key: what the cache holds changes
+# what a call costs, never the stream it returns.
 _blocks: dict[tuple[int, ...], tuple[int, np.ndarray] | None] = {}
+_UNSEEN = object()
 
 
 def _int_words(n: int) -> list[int]:
@@ -135,8 +138,9 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     seed = int(seed)
     key = tuple(map(int, key))
     head = (seed, *key[:-1]) if key and 0 <= key[-1] <= _MASK else None
-    if head in _blocks:
-        t, block = key[-1], _blocks[head]
+    block = _blocks.get(head, _UNSEEN)
+    if block is not _UNSEEN:
+        t = key[-1]
         if block is None or not 0 <= t - block[0] < _BLOCK:
             block = _blocks[head] = _block(seed, key[:-1], t - t % _BLOCK)
         start, words = block
@@ -146,6 +150,6 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     if head is not None:
         if len(_blocks) >= _MAX_HEADS:
-            del _blocks[next(iter(_blocks))]
+            _blocks.pop(next(iter(_blocks)), None)
         _blocks[head] = None
     return np.random.Generator(np.random.PCG64(ss))
