@@ -25,7 +25,7 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK = 0xFFFFFFFF
 _POOL = 4
 
-_BLOCK = 1024     # last key parts seeded together; 32 KiB of words
+_BLOCK = 256      # last key parts seeded together; 8 KiB of words
 _MAX_HEADS = 64   # (seed, head) prefixes remembered, oldest dropped first
 # Prefix -> (first last part, words) of its block; None after its first call.
 # Every entry is a pure function of its key: what the cache holds changes

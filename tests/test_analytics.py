@@ -306,7 +306,7 @@ class TestAccumulatorStreaming:
     @given(st.lists(st.one_of(st.floats(0.0, 2.0), st.floats(2.0, 1e300),
                               st.sampled_from(EDGE_RATES.tolist())), max_size=60))
     def test_bin_index_matches_searchsorted(self, rates):
-        g = np.concatenate([self.EDGE_RATES, rates])
+        g = np.concatenate([self.EDGE_RATES, [np.inf, np.nan], rates])
         expected = np.minimum(np.searchsorted(_EDGES, g, side="right") - 1, _G_BINS - 1)
         assert np.array_equal(_growth_bin(g), expected)
 
