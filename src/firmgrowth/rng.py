@@ -88,7 +88,8 @@ def _seed_words(entropy: list) -> np.ndarray:
 
 @functools.cache
 def _seeded_type():
-    # numpy.random is imported on the first block, not with this module.
+    # Imported on the first block, so that importing this module leaves
+    # numpy.random unloaded.
     from numpy.random.bit_generator import ISeedSequence
 
     class Seeded(ISeedSequence):
