@@ -32,8 +32,7 @@ def main() -> int:
     economy = Economy(cfg)
     deviations = DeviationAccumulator()
     for _ in range(cfg.iterations):
-        (batch,) = economy.step()
-        deviations.update(batch)
+        deviations.update(economy.step())
 
     snap = SizeSnapshot.from_values(economy.time, economy.size)
     window = analytics.default_tail_range(snap.sizes)

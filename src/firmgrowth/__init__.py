@@ -5,7 +5,6 @@ from .model import (
     Economy,
     GrowthBatch,
     MarketProbabilities,
-    Metric,
     ModelConfig,
     Rounding,
     Scenario,
@@ -25,7 +24,6 @@ from .baselines import (
     step_scaled_beta,
 )
 from .analytics import (
-    BinScheme,
     DeviationAccumulator,
     FitMethod,
     FitResult,

@@ -34,25 +34,16 @@ class SizeSnapshot:
         return self.sizes.size
 
 
-class BinScheme(enum.Enum):
-    LINEAR = "linear"
-    LOGARITHMIC = "logarithmic"
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Normalized density histogram; integrates to 1 over its bins."""
 
     bin_edges: np.ndarray
     densities: np.ndarray
-    bin_scheme: BinScheme
     count: int
 
     def widths(self) -> np.ndarray:
         return np.diff(self.bin_edges)
-
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
     def log_densities(self) -> np.ndarray:
         """log10 density with half-count smoothing so empty bins stay finite."""
@@ -292,7 +283,7 @@ class GrowthAccumulator:
             edges = np.append(edges, max(self.g_max, edges[-1] + edges[-1] - edges[-2]))
             counts = np.append(counts, self.overflow)
         densities = counts / (total * np.diff(edges))
-        return Histogram(edges, densities, BinScheme.LINEAR, total)
+        return Histogram(edges, densities, total)
 
     def binned(self) -> list[SizeBinStats]:
         """Growth dispersion per logarithmic size bin.
@@ -336,24 +327,26 @@ def fit_beta(binned: Sequence[SizeBinStats]) -> FitResult:
     return FitResult(-slope, se, (lo, hi), FitMethod.LOG_LOG_OLS, len(binned))
 
 
+_DEV_BINS = 24
+
+
 class DeviationAccumulator:
     """Streaming histogram of the growth deviation |g - 1| on logarithmic bins.
 
     The estimator of choice for reading the tent's log-log slope: the growth
     rates of discrete firms live on lattices of spacing 1/size, and
     logarithmic deviation bins absorb those atoms into a consistent density
-    where fixed-width bins around g = 1 alias them.
+    where fixed-width bins around g = 1 alias them. ``_DEV_BINS`` bins span
+    ``d_range``, and records of firms of every positive size count.
     """
 
-    def __init__(self, n_bins: int = 24, d_range: tuple[float, float] = (0.02, 0.45),
-                 min_size: float = 0):
-        self.min_size = min_size
+    def __init__(self, d_range: tuple[float, float] = (0.02, 0.45)):
         self.edges = np.logspace(math.log10(d_range[0]), math.log10(d_range[1]),
-                                 n_bins + 1)
-        self.counts = np.zeros(n_bins, dtype=np.int64)
+                                 _DEV_BINS + 1)
+        self.counts = np.zeros(_DEV_BINS, dtype=np.int64)
 
     def update(self, batch: GrowthBatch) -> None:
-        before, after = batch.records(self.min_size)
+        before, after = batch.records()
         if before.size == 0:
             return
         dev = np.abs(after / before - 1.0)
@@ -363,8 +356,7 @@ class DeviationAccumulator:
         total = int(self.counts.sum())
         if total == 0:
             raise ValueError("no growth deviations inside the histogram range")
-        return Histogram(self.edges, self.counts / (total * np.diff(self.edges)),
-                         BinScheme.LOGARITHMIC, total)
+        return Histogram(self.edges, self.counts / (total * np.diff(self.edges)), total)
 
 
 def central_tent_slope(hist: Histogram, window: tuple[float, float] = (0.02, 0.3)
@@ -372,15 +364,12 @@ def central_tent_slope(hist: Histogram, window: tuple[float, float] = (0.02, 0.3
     """Log-log slope of density against |g - 1| near the peak.
 
     A value of -1 is the hallmark of the 1/|g-1| tent produced by mixing
-    Gaussian growth over a broad size distribution. Accepts either a growth
-    histogram (bins in g, deviations measured from 1) or a deviation
-    histogram (logarithmic bins directly in |g - 1|). Returns
-    (slope, std error, points used).
+    Gaussian growth over a broad size distribution. Takes a
+    :class:`DeviationAccumulator` histogram (logarithmic bins in |g - 1|) and
+    reads each bin at its geometric centre. Returns (slope, std error,
+    points used).
     """
-    if hist.bin_scheme is BinScheme.LOGARITHMIC:
-        dev = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
-    else:
-        dev = np.abs(hist.centers() - 1.0)
+    dev = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
     sel = (dev >= window[0]) & (dev <= window[1]) & (hist.densities > 0)
     if sel.sum() < 3:
         raise ValueError("fewer than 3 populated bins inside the slope window")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GrowthBatch, Metric, equal_split, round_array
+from .model import GrowthBatch, equal_split, round_array
 
 
 @dataclass(frozen=True)
@@ -176,4 +176,4 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
             size[origin] += entrant
 
     sizes = np.array(size, dtype=np.int64)
-    return sizes, GrowthBatch(Metric.EMPLOYEES, before, sizes)
+    return sizes, GrowthBatch(before, sizes)

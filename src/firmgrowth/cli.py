@@ -20,8 +20,7 @@ import numpy as np
 from . import analytics, io, theory
 from .baselines import (BaselineConfig, step_additive, step_marsili_sequential,
                         step_scaled_beta)
-from .model import (Allocation, Economy, GrowthBatch, Metric, ModelConfig, Rounding,
-                    Scenario)
+from .model import Allocation, Economy, GrowthBatch, ModelConfig, Rounding, Scenario
 from .rng import substream
 
 
@@ -276,12 +275,9 @@ def _stepper(kind: str, cfg):
     returns (growth batch, sizes, outputs, solds) after it."""
     if kind == "model":
         economy = Economy(cfg)
-        metric = (Metric.EMPLOYEES if cfg.scenario is Scenario.FIRMS_CONSUME
-                  else Metric.SALES)
 
         def advance(t):
-            batch = next(b for b in economy.step() if b.metric is metric)
-            return batch, economy.size, economy.output, economy.sold
+            return economy.step(), economy.size, economy.output, economy.sold
         return advance
 
     # Reference processes have no production cycle: outputs and solds are 0.
@@ -301,7 +297,7 @@ def _stepper(kind: str, cfg):
             sizes = step_additive(sizes, cfg.sigma, rng, cfg.replacement_mean)
         else:
             sizes = step_scaled_beta(sizes, cfg.sigma ** 2, beta, rng, cfg.replacement_mean)
-        return GrowthBatch(Metric.EMPLOYEES, before, sizes), sizes, zeros, zeros
+        return GrowthBatch(before, sizes), sizes, zeros, zeros
     return advance
 
 

@@ -60,11 +60,6 @@ class Allocation(enum.Enum):
     INDEPENDENT_BINOMIAL = "IndependentBinomial"  # conserves supply on average only
 
 
-class Metric(enum.Enum):
-    EMPLOYEES = "employees"
-    SALES = "sales"
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """All global parameters of one simulation run."""
@@ -131,7 +126,7 @@ class MarketProbabilities:
 
 
 class GrowthBatch:
-    """Columnar (size before, size after) records for one iteration and one metric.
+    """Columnar (size before, size after) records for one iteration.
 
     Records of firms that were empty before the iteration are left out: their
     growth rate ``size_after / size_before`` is undefined. The batch holds the
@@ -139,14 +134,13 @@ class GrowthBatch:
     read, so a reader that drops small firms as well masks only once.
     """
 
-    __slots__ = ("metric", "_before", "_after")
+    __slots__ = ("_before", "_after")
 
-    def __init__(self, metric: Metric, size_before, size_after):
+    def __init__(self, size_before, size_after):
         before = np.asarray(size_before, dtype=float)
         after = np.asarray(size_after, dtype=float)
         if before.shape != after.shape:
             raise ValueError("size_before and size_after must have matching shapes")
-        self.metric = metric
         self._before = before
         self._after = after
 
@@ -287,18 +281,18 @@ class Economy:
         self.sold = sizes * (w / p)
         self.time = 0
         self.employed = int(sizes.sum())
-        self.replaced_last = 0
         self.last_replaced = np.empty(0, dtype=np.int64)
         self.market: MarketProbabilities | None = None
 
-    def step(self) -> list[GrowthBatch]:
-        """Advance one iteration; returns the growth records it generated."""
+    def step(self) -> GrowthBatch:
+        """Advance one iteration; returns its growth records: employees in
+        the firms-consume scenario, sales in the workers-only-consume one."""
         if self.config.scenario is Scenario.FIRMS_CONSUME:
             return step_scenario_i(self)
         return step_scenario_ii(self)
 
 
-def step_scenario_i(economy: Economy) -> list[GrowthBatch]:
+def step_scenario_i(economy: Economy) -> GrowthBatch:
     """One production cycle when firms spend their profits (scarce workforce).
 
     Firms post ``size * (1 + margin)`` job offers (rounded by the configured
@@ -333,14 +327,14 @@ def step_scenario_i(economy: Economy) -> list[GrowthBatch]:
     q_total = float(economy.output.sum())
     economy.market = MarketProbabilities(fill, 1.0, q_total, q_total)
 
-    batch = GrowthBatch(Metric.EMPLOYEES, size_before, economy.size)
+    batch = GrowthBatch(size_before, economy.size)
 
-    economy.replaced_last = replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
+    replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
     economy.time += 1
-    return [batch]
+    return batch
 
 
-def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
+def step_scenario_ii(economy: Economy) -> GrowthBatch:
     """One production cycle when only wages are spent (scarce demand).
 
     Firms plan from last realized profits, hire accordingly (the job market
@@ -360,8 +354,8 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
         raise ValueError("economy is not in the workers-only-consume scenario")
     t = economy.time
     w, p, mu = cfg.wage, cfg.price, cfg.margin
-    # Neither array is changed in place below: the step assigns new ones.
-    size_before, sold_before = economy.size, economy.sold
+    # Not changed in place below: the step assigns a new array.
+    sold_before = economy.sold
 
     if cfg.rounding is Rounding.PER_UNIT:
         # Each previously sold good respawns as one or two goods to produce.
@@ -379,7 +373,7 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
         else:
             economy.job_offer = round_array(workers, substream(cfg.seed, OFFER_STREAM, t))
 
-    replaced = replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
+    replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
 
     offers = economy.job_offer
     total_offers = int(offers.sum())
@@ -405,16 +399,12 @@ def step_scenario_ii(economy: Economy) -> list[GrowthBatch]:
     sell = min(1.0, demand_units / supply_units) if supply_units > 0 else 1.0
     economy.market = MarketProbabilities(fill, sell, float(demand_units), float(supply_units))
 
-    # A replaced firm's trajectories end at zero: the entrant that takes its
-    # slot is a different firm, and its first sizes are not growth of the old one.
-    emp_after = hired.astype(float)
+    # A replaced firm's sales end at zero: the entrant that takes its slot is
+    # a different firm, and its first sales are not growth of the old one.
     sales_after = sold.copy()
-    emp_after[economy.last_replaced] = 0.0
     sales_after[economy.last_replaced] = 0.0
-    economy.replaced_last = replaced
     economy.time += 1
-    return [GrowthBatch(Metric.EMPLOYEES, size_before, emp_after),
-            GrowthBatch(Metric.SALES, sold_before, sales_after)]
+    return GrowthBatch(sold_before, sales_after)
 
 
 def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:

@@ -7,7 +7,8 @@ whole module finishes in a couple of minutes on a laptop. Run with
     pytest tests/test_acceptance.py -v -s
 
 The measurement of each stochastic criterion (1-6) is a function of the seed,
-so that `scripts/criteria_spread.py` can rerun it on other seeds.
+so that `scripts/criteria_spread.py` can rerun it on other seeds, and steps
+its preset with `cli._stepper`, the stepper that `firmgrowth run` uses.
 """
 import concurrent.futures
 import math
@@ -19,10 +20,9 @@ from scipy import stats as sps
 
 from firmgrowth import analytics, cli
 from firmgrowth.analytics import DeviationAccumulator, GrowthAccumulator, SizeSnapshot
-from firmgrowth.baselines import BaselineConfig, step_additive, step_scaled_beta
 from firmgrowth.cli import RunSpec
-from firmgrowth.model import (Allocation, Economy, GrowthBatch, Metric, ModelConfig,
-                              Scenario, per_unit_offer_array, round_array)
+from firmgrowth.model import (Allocation, Economy, GrowthBatch, ModelConfig, Scenario,
+                              per_unit_offer_array, round_array)
 from firmgrowth.rng import substream
 
 
@@ -31,78 +31,55 @@ def report(num, name, ok, detail):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def model_config(preset, seed, **overrides):
-    merged = {**cli.PRESETS[preset].defaults, **overrides, "seed": seed}
-    return ModelConfig(**merged)
+def run_preset(preset, seed, *accumulators):
+    """Step one seed of a preset at its calibrated size through the CLI's
+    stepper, feeding every growth batch to the accumulators; returns the
+    final size snapshot."""
+    kind, cfg = cli.materialize(RunSpec(preset=preset, seeds=[seed]), seed)
+    advance = cli._stepper(kind, cfg)
+    for t in range(cfg.iterations):
+        batch, sizes, _, _ = advance(t)
+        for acc in accumulators:
+            acc.update(batch)
+    return SizeSnapshot.from_values(cfg.iterations, sizes)
 
 
-def baseline_config(preset, seed, **overrides):
-    merged = {**cli.PRESETS[preset].defaults, **overrides, "seed": seed}
-    return BaselineConfig(**merged)
+def tail_fits(snap):
+    """OLS and MLE tail fits over the default one-decade window."""
+    window = analytics.default_tail_range(snap.sizes)
+    return analytics.fit_power_law_tail(analytics.ccdf(snap), window, n_total=len(snap))
 
 
 def demand_scarce_fit(seed):
     """OLS and MLE tail fits of one demand-scarce preset run."""
-    cfg = model_config("ScenarioII", seed)
-    economy = Economy(cfg)
-    for _ in range(cfg.iterations):
-        economy.step()
-    snap = SizeSnapshot.from_values(economy.time, economy.size)
-    points = analytics.ccdf(snap)
-    window = analytics.default_tail_range(snap.sizes)
-    return analytics.fit_power_law_tail(points, window, n_total=len(snap))
+    return tail_fits(run_preset("ScenarioII", seed))
 
 
 def workforce_scarce_measures(seed):
     """Criteria 2 and 6 from one workforce-scarce preset run with streamed
     growth statistics: the dispersion-scaling fit and the central tent slope
     as (slope, standard error, bins used)."""
-    cfg = model_config("ScenarioI", seed)
-    economy = Economy(cfg)
-    sized = GrowthAccumulator(min_size=10)
-    deviations = DeviationAccumulator()
-    for _ in range(cfg.iterations):
-        (batch,) = economy.step()
-        sized.update(batch)
-        deviations.update(batch)
+    sized, deviations = GrowthAccumulator(min_size=10), DeviationAccumulator()
+    run_preset("ScenarioI", seed, sized, deviations)
     return (analytics.fit_beta(sized.binned()),
             analytics.central_tent_slope(deviations.histogram(), (0.02, 0.3)))
 
 
 def scaled_noise_beta(seed):
     """Dispersion-scaling fit of one scaled-noise preset run (criterion 3)."""
-    cfg = baseline_config("ScaledBeta", seed)
-    sizes = cfg.initial_sizes()
     acc = GrowthAccumulator(min_size=10)
-    for t in range(cfg.iterations):
-        before = sizes.astype(float)
-        sizes = step_scaled_beta(sizes, cfg.sigma**2, cfg.beta,
-                                 substream(cfg.seed, 0, t), cfg.replacement_mean)
-        acc.update(GrowthBatch(Metric.EMPLOYEES, before, sizes))
+    run_preset("ScaledBeta", seed, acc)
     return analytics.fit_beta(acc.binned())
 
 
 def multiplicative_tail(seed):
     """OLS tail fit of one multiplicative-noise preset run (criterion 4)."""
-    cfg = baseline_config("Multiplicative", seed)
-    sizes = cfg.initial_sizes()
-    for t in range(cfg.iterations):
-        sizes = step_scaled_beta(sizes, cfg.sigma**2, 0.0,
-                                 substream(cfg.seed, 0, t), cfg.replacement_mean)
-    snap = SizeSnapshot.from_values(cfg.iterations, sizes)
-    window = analytics.default_tail_range(snap.sizes)
-    ols, _ = analytics.fit_power_law_tail(analytics.ccdf(snap), window,
-                                          n_total=len(snap))
-    return ols
+    return tail_fits(run_preset("Multiplicative", seed))[0]
 
 
 def additive_moments(seed):
     """Excess kurtosis and skewness of one additive-noise preset run (criterion 5)."""
-    cfg = baseline_config("Additive", seed)
-    sizes = cfg.initial_sizes(integer=False)
-    for t in range(cfg.iterations):
-        sizes = step_additive(sizes, cfg.sigma, substream(cfg.seed, 0, t),
-                              cfg.replacement_mean)
+    sizes = run_preset("Additive", seed).sizes
     return float(sps.kurtosis(sizes)), float(sps.skew(sizes))
 
 
@@ -245,7 +222,7 @@ def test_criterion_11_binning_robustness():
     betas = []
     for bins_per_decade in (1.0, 2.0):
         acc = GrowthAccumulator(min_size=0, bins_per_decade=bins_per_decade)
-        acc.update(GrowthBatch(Metric.EMPLOYEES, n, n * g))
+        acc.update(GrowthBatch(n, n * g))
         betas.append(analytics.fit_beta(acc.binned()))
     decade, half = betas
     gap = abs(decade.exponent - half.exponent)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from firmgrowth.analytics import (
     _EDGES,
     _G_BINS,
-    BinScheme,
     DeviationAccumulator,
     FitMethod,
     GrowthAccumulator,
@@ -21,12 +20,12 @@ from firmgrowth.analytics import (
     fit_power_law_tail,
     _growth_bin,
 )
-from firmgrowth.model import GrowthBatch, Metric
+from firmgrowth.model import GrowthBatch
 
 
 def fed(acc, before, after):
     """The accumulator after one update with the batch ``(before, after)``."""
-    acc.update(GrowthBatch(Metric.EMPLOYEES, before, after))
+    acc.update(GrowthBatch(before, after))
     return acc
 
 
@@ -245,7 +244,6 @@ class TestTentShape:
         n = np.full(50_000, 40.0)
         g = rng.normal(1.0, 0.2, n.size)
         hist = fed(DeviationAccumulator(), n, g * n).histogram()
-        assert hist.bin_scheme is BinScheme.LOGARITHMIC
         assert float(hist.densities @ hist.widths()) == pytest.approx(1.0)
 
     def test_slope_window_needs_population(self):
@@ -311,7 +309,7 @@ class TestAccumulatorStreaming:
         assert np.array_equal(_growth_bin(g), expected)
 
     def test_growth_batch_drops_empty_firms(self):
-        batch = GrowthBatch(Metric.SALES, [10.0, 0.0, 5.0], [11.0, 3.0, 0.0])
+        batch = GrowthBatch([10.0, 0.0, 5.0], [11.0, 3.0, 0.0])
         assert (batch.size_after / batch.size_before).tolist() == [1.1, 0.0]
         with pytest.raises(ValueError):
-            GrowthBatch(Metric.SALES, [1.0, 2.0], [1.0])
+            GrowthBatch([1.0, 2.0], [1.0])

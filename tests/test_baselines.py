@@ -11,7 +11,6 @@ from scipy import stats as sps
 from firmgrowth import (
     BaselineConfig,
     GrowthBatch,
-    Metric,
     analytics,
     step_additive,
     step_marsili_sequential,
@@ -134,8 +133,7 @@ class TestScaledBeta:
             before_all.append(sizes.astype(float))
             after_all.append(after.astype(float))
         acc = analytics.GrowthAccumulator(min_size=0)
-        acc.update(GrowthBatch(Metric.EMPLOYEES, np.concatenate(before_all),
-                               np.concatenate(after_all)))
+        acc.update(GrowthBatch(np.concatenate(before_all), np.concatenate(after_all)))
         beta = analytics.fit_beta(acc.binned())
         assert abs(beta.exponent - 0.5) < 0.05
 

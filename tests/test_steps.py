@@ -9,7 +9,6 @@ from scipy import stats as sps
 from firmgrowth import (
     Allocation,
     Economy,
-    Metric,
     ModelConfig,
     Rounding,
     Scenario,
@@ -29,8 +28,7 @@ def _one_step_samples(rounding, allocation, reps=6, n=1000, n_firms=10_000, mu=0
                           scenario=Scenario.FIRMS_CONSUME, rounding=rounding,
                           allocation=allocation, seed=1000 + rep, iterations=1)
         economy = Economy(cfg)
-        (batch,) = economy.step()
-        out.append(batch.size_after)
+        out.append(economy.step().size_after)
     return np.concatenate(out)
 
 
@@ -40,7 +38,7 @@ class TestScenarioI:
         cfg = ModelConfig(n_firms=1, n_workers=100, margin=0.1, seed=3, iterations=10)
         economy = Economy(cfg)
         for _ in range(10):
-            (batch,) = economy.step()
+            batch = economy.step()
             assert batch.size_after.tolist() == batch.size_before.tolist() == [100.0]
         assert economy.size.tolist() == [100]
 
@@ -112,8 +110,9 @@ def demand_scarce_economy():
                       scenario=Scenario.WORKERS_ONLY_CONSUME, seed=8, iterations=50)
     economy = Economy(cfg)
     for _ in range(50):
-        batches = economy.step()
-    return economy, batches
+        sold_before = economy.sold.copy()
+        batch = economy.step()
+    return economy, (sold_before, batch)
 
 
 class TestScenarioII:
@@ -155,22 +154,20 @@ class TestScenarioII:
         assert (econ.sold <= econ.output + 1).all()
         assert (econ.sold <= np.ceil(econ.output)).all()
 
-    def test_emits_both_metrics(self, economy):
-        _, batches = economy
-        assert [b.metric for b in batches] == [Metric.EMPLOYEES, Metric.SALES]
-        for batch in batches:
-            assert (batch.size_before > 0).all()
+    def test_growth_records_start_from_last_sales(self, economy):
+        _, (sold_before, batch) = economy
+        assert np.array_equal(batch.size_before, sold_before[sold_before > 0])
 
     def test_replaced_firms_sales_end_at_zero(self):
-        # below-cost prices let a firm that sold something die; its SALES record
-        # must end at 0 instead of continuing with the entrant's first sales
+        # below-cost prices let a firm that sold something die; its growth
+        # record must end at 0 instead of continuing with the entrant's first sales
         cfg = ModelConfig(n_firms=300, n_workers=6000, margin=0.1, wage=1.0, price=0.5,
                           scenario=Scenario.WORKERS_ONLY_CONSUME, seed=5, iterations=400)
         economy = Economy(cfg)
         ended = joined = 0
         for _ in range(cfg.iterations):
-            firms = np.flatnonzero(economy.sold > 0)  # order of the SALES records
-            _, sales = economy.step()
+            firms = np.flatnonzero(economy.sold > 0)  # order of the growth records
+            sales = economy.step()
             replaced = np.isin(firms, economy.last_replaced)
             ended += int((replaced & (sales.size_after == 0)).sum())
             joined += int((replaced & (sales.size_after > 0)).sum())
@@ -297,15 +294,13 @@ class TestDeterminism:
             economy = Economy(cfg)
             trace = []
             for _ in range(60):
-                batches = economy.step()
+                batch = economy.step()
                 trace.append((economy.size.copy(), economy.sold.copy(),
-                              [b.size_after.copy() for b in batches]))
+                              batch.size_before, batch.size_after))
             return trace
 
-        for (s1, q1, b1), (s2, q2, b2) in zip(run(), run()):
-            assert np.array_equal(s1, s2)
-            assert np.array_equal(q1, q2)
-            for x, y in zip(b1, b2):
+        for first, second in zip(run(), run()):
+            for x, y in zip(first, second):
                 assert np.array_equal(x, y)
 
     def test_allocation_mode_does_not_shift_replacement_draws(self):
