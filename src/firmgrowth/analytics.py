@@ -171,21 +171,19 @@ class SizeBinStats:
     bin_low: float
     bin_high: float
     sigma_g: float
-    tent_slope: float
     count: int
     geo_mean_size: float
 
 
 # Growth-rate histogram: linear bins over [0, _G_MAX]; rates above _G_MAX go
 # to an overflow bin. Size bins with fewer than _MIN_COUNT records are not
-# reported, and the tent slope is read inside _TENT_WINDOW of |g - 1|.
+# reported.
 _G_BINS = 101
 _G_MAX = 2.0
 _EDGES = np.linspace(0.0, _G_MAX, _G_BINS + 1)
 # Upper edge of each bin for the index's upward step; the last bin takes
 # everything above, and no rate compares >= NaN.
 _UPPER = np.append(_EDGES[1:-1], np.nan)
-_TENT_WINDOW = (0.02, 0.5)
 _MIN_COUNT = 30
 
 
@@ -205,30 +203,16 @@ def _growth_bin(g: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _tent_slope(hist_counts: np.ndarray, count: int) -> float:
-    # Log density against |g - 1| inside the tent window; the slope is the
-    # Laplacian-style decay rate used to read off sigma(n) from plots.
-    dev = np.abs(0.5 * (_EDGES[:-1] + _EDGES[1:]) - 1.0)
-    widths = np.diff(_EDGES)
-    lo, hi = _TENT_WINDOW
-    sel = (dev >= lo) & (dev <= hi) & (hist_counts > 0)
-    if sel.sum() < 3:
-        return float("nan")
-    dens = hist_counts[sel] / (count * widths[sel])
-    slope, _, _ = _ols(dev[sel], np.log(dens))
-    return slope
-
-
 class GrowthAccumulator:
     """Streaming growth statistics: aggregate histogram plus per-size-bin
     dispersion, with memory independent of the number of records.
 
-    One table holds a row per logarithmic size bin: the counts of its growth
-    rates per histogram bin (rates above ``_G_MAX`` clamped into the last
-    one), then the sums of g, g**2 and log(size). ``min_size`` drops records
-    of firms below the threshold; their growth rates only take a handful of
-    discrete values and would distort both the histogram and the dispersion
-    estimates.
+    One vector counts the growth rates per histogram bin (rates above
+    ``_G_MAX`` clamped into the last one). One table holds a row per
+    logarithmic size bin: its record count, then the sums of g, g**2 and
+    log(size). ``min_size`` drops records of firms below the threshold; their
+    growth rates only take a handful of discrete values and would distort
+    both the histogram and the dispersion estimates.
     """
 
     def __init__(self, min_size: float = 10, bins_per_decade: float = 1.0):
@@ -236,12 +220,13 @@ class GrowthAccumulator:
         self.bins_per_decade = float(bins_per_decade)
         self.overflow = 0
         self.g_max = _G_MAX
+        self._hist = np.zeros(_G_BINS, dtype=np.int64)
         self._k0 = 0  # size bin of the table's first row; the table grows both ways
-        self._table = np.zeros((0, _G_BINS + 3))
+        self._table = np.zeros((0, 4))
 
     @property
     def total(self) -> int:
-        return int(self._table[:, :_G_BINS].sum())
+        return int(self._hist.sum())
 
     def update(self, batch: GrowthBatch) -> None:
         before, after = batch.records(self.min_size)
@@ -252,7 +237,7 @@ class GrowthAccumulator:
         if over.any():
             self.overflow += int(over.sum())
             self.g_max = max(self.g_max, float(g[over].max()))
-        g_bin = _growth_bin(g)
+        self._hist += np.bincount(_growth_bin(g), minlength=_G_BINS)
 
         ks = np.floor(self.bins_per_decade * np.log10(before)).astype(np.int64)
         rows = ks - self._k0
@@ -263,9 +248,7 @@ class GrowthAccumulator:
             self._k0 -= below
             rows += below
         n_rows = len(self._table)
-        self._table[:, :_G_BINS] += np.bincount(
-            rows * _G_BINS + g_bin, minlength=n_rows * _G_BINS).reshape(n_rows, _G_BINS)
-        for col, weights in enumerate((g, g * g, np.log(before)), start=_G_BINS):
+        for col, weights in enumerate((None, g, g * g, np.log(before))):
             self._table[:, col] += np.bincount(rows, weights, n_rows)
 
     def histogram(self) -> Histogram:
@@ -277,7 +260,7 @@ class GrowthAccumulator:
         total = self.total
         if total == 0:
             raise ValueError("no growth records survive the size filter")
-        edges, counts = _EDGES, self._table[:, :_G_BINS].sum(axis=0)
+        edges, counts = _EDGES, self._hist.copy()
         counts[-1] -= self.overflow
         if self.overflow:
             edges = np.append(edges, max(self.g_max, edges[-1] + edges[-1] - edges[-2]))
@@ -289,22 +272,19 @@ class GrowthAccumulator:
         """Growth dispersion per logarithmic size bin.
 
         Each bin with at least ``_MIN_COUNT`` records reports the standard
-        deviation of g and the fitted tent slope of its growth histogram;
-        sparser bins are dropped.
+        deviation of g; sparser bins are dropped.
         """
         out = []
         bpd = self.bins_per_decade
-        counts = self._table[:, :_G_BINS]
-        for row in np.flatnonzero(counts.sum(axis=1) >= _MIN_COUNT):
+        for row in np.flatnonzero(self._table[:, 0] >= _MIN_COUNT):
             k = self._k0 + int(row)
-            count = int(counts[row].sum())
-            sum_g, sum_g2, sum_log_n = self._table[row, _G_BINS:]
+            count, sum_g, sum_g2, sum_log_n = self._table[row]
+            count = int(count)
             var = (sum_g2 - sum_g * sum_g / count) / (count - 1)
             out.append(SizeBinStats(
                 bin_low=10.0 ** (k / bpd),
                 bin_high=10.0 ** ((k + 1) / bpd),
                 sigma_g=math.sqrt(max(var, 0.0)),
-                tent_slope=_tent_slope(counts[row], count),
                 count=count,
                 geo_mean_size=math.exp(sum_log_n / count),
             ))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
@@ -42,7 +43,7 @@ _BASELINE_KEYS = frozenset({
 
 @dataclass(frozen=True)
 class Preset:
-    kind: str  # "model", "additive", "multiplicative", "scaled", "marsili"
+    kind: str  # "model", "additive", "scaled", "marsili"
     defaults: dict
     keys: frozenset
 
@@ -62,7 +63,7 @@ PRESETS: dict[str, Preset] = {
     "Additive": Preset("additive", dict(
         n_units=1000, n_workers=100_000, sigma=1.0, iterations=2000,
     ), _BASELINE_KEYS),
-    "Multiplicative": Preset("multiplicative", dict(
+    "Multiplicative": Preset("scaled", dict(
         n_units=10_000, n_workers=500_000, sigma=0.2, iterations=4000,
     ), _BASELINE_KEYS),
     "ScaledBeta": Preset("scaled", dict(
@@ -221,7 +222,7 @@ def materialize(spec: RunSpec, seed: int):
             cfg = BaselineConfig(**merged)
             if preset.kind == "marsili" and cfg.n_workers < 2:
                 raise ValueError("n_workers must be at least 2 for a worker to move")
-            if preset.kind in ("multiplicative", "scaled") and math.isinf(cfg.sigma * cfg.sigma):
+            if preset.kind == "scaled" and math.isinf(cfg.sigma * cfg.sigma):
                 raise ValueError("sigma**2, the growth variance at size 1, overflows a float")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -284,7 +285,6 @@ def _stepper(kind: str, cfg):
     zeros = np.zeros(cfg.n_units)
     sizes = cfg.initial_sizes(integer=kind != "additive")
     n_moves = max(1, round(cfg.move_fraction * cfg.n_workers))
-    beta = cfg.beta if kind == "scaled" else 0.0
 
     def advance(t):
         nonlocal sizes
@@ -296,7 +296,7 @@ def _stepper(kind: str, cfg):
         if kind == "additive":
             sizes = step_additive(sizes, cfg.sigma, rng, cfg.replacement_mean)
         else:
-            sizes = step_scaled_beta(sizes, cfg.sigma ** 2, beta, rng, cfg.replacement_mean)
+            sizes = step_scaled_beta(sizes, cfg.sigma ** 2, cfg.beta, rng, cfg.replacement_mean)
         return GrowthBatch(before, sizes), sizes, zeros, zeros
     return advance
 
@@ -367,14 +367,14 @@ def run(spec: RunSpec) -> int:
 
 def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
     """Recompute CCDF and tail fits from the latest snapshot CSV in a directory."""
-    snapshots = sorted(input_dir.glob("snapshot_t*.csv"),
-                       key=lambda p: int(p.stem.split("_t")[1]))
+    snapshots = [(int(m[1]), p) for p in input_dir.glob("snapshot_t*.csv")
+                 if (m := re.fullmatch(r"snapshot_t([0-9]+)\.csv", p.name))]
     if not snapshots:
         raise ConfigError(f"no snapshot CSVs found in {input_dir}")
-    latest = snapshots[-1]
-    t = int(latest.stem.split("_t")[1])
-    sizes = io.read_snapshot_sizes(latest)
-    snap = analytics.SizeSnapshot.from_values(t, sizes)
+    t, latest = max(snapshots)
+    snap = analytics.SizeSnapshot.from_values(t, io.read_snapshot_sizes(latest))
+    if len(snap) == 0:
+        raise ConfigError(f"{latest} holds no positive size")
     outdir = output_dir if output_dir is not None else input_dir
     outdir.mkdir(parents=True, exist_ok=True)
 

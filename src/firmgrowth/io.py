@@ -80,10 +80,9 @@ def write_growth_hist(path: Path, hist: Histogram) -> None:
 
 def write_binned_sigma(path: Path, stats: Sequence[SizeBinStats]) -> None:
     rows = (
-        (fmt(s.bin_low), fmt(s.bin_high), fmt(s.sigma_g), fmt(s.tent_slope), str(s.count))
-        for s in stats
+        (fmt(s.bin_low), fmt(s.bin_high), fmt(s.sigma_g), str(s.count)) for s in stats
     )
-    write_rows(path, ("bin_low", "bin_high", "sigma", "tent_slope", "count"), rows)
+    write_rows(path, ("bin_low", "bin_high", "sigma", "count"), rows)
 
 
 def write_fits(path: Path, fits: Sequence[FitResult]) -> None:

@@ -261,17 +261,10 @@ class Economy:
     function of the configuration.
     """
 
-    def __init__(self, config: ModelConfig, initial_sizes=None):
+    def __init__(self, config: ModelConfig):
         self.config = config
         n = config.n_firms
-        if initial_sizes is None:
-            sizes = equal_split(config.n_workers, n)
-        else:
-            sizes = np.asarray(initial_sizes, dtype=np.int64).copy()
-            if sizes.shape != (n,):
-                raise ValueError(f"initial_sizes must have length {n}")
-            if sizes.size and sizes.min() < 0:
-                raise ValueError("initial sizes must be non-negative")
+        sizes = equal_split(config.n_workers, n)
         w, p = config.wage, config.price
         self.size = sizes
         self.job_offer = np.zeros(n, dtype=np.int64)

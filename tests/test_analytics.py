@@ -268,6 +268,10 @@ class TestAccumulatorStreaming:
         h1, h2 = whole.histogram(), chunked.histogram()
         assert np.array_equal(h1.bin_edges, h2.bin_edges)
         assert np.array_equal(h1.densities, h2.densities)
+        # every record lands in one size bin and one growth bin; no size bin
+        # here is too sparse to report
+        assert sum(b.count for b in whole.binned()) == h1.count
+        assert len(whole.binned()) == len(chunked.binned())
         for a, b in zip(whole.binned(), chunked.binned()):
             # counts and edges agree exactly; moments only up to summation order
             assert (a.bin_low, a.bin_high, a.count) == (b.bin_low, b.bin_high, b.count)

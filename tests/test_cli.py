@@ -124,6 +124,8 @@ class TestRun:
             assert (seed_dir / "snapshot_t20.csv").exists()
             assert (seed_dir / "snapshot_t40.csv").exists()
             assert (seed_dir / "ccdf.csv").exists()
+            header = (seed_dir / "binned_sigma.csv").read_text().splitlines()[0]
+            assert header == "bin_low,bin_high,sigma,count"
         manifest = (tmp_path / "out" / "manifest.csv").read_text()
         assert "margin,0.1" in manifest
         assert manifest.count("snapshot_t20.csv") == 2
@@ -301,6 +303,16 @@ class TestMainEntry:
     def test_analyze_missing_snapshots(self, tmp_path, capsys):
         assert cli.main(["analyze", "--input", str(tmp_path)]) == 1
         assert "no snapshot" in capsys.readouterr().err
+        # only snapshot_t<digits>.csv names a snapshot
+        (tmp_path / "snapshot_tlast.csv").write_text("t,firm_id,size,output,sold\n")
+        assert cli.main(["analyze", "--input", str(tmp_path)]) == 1
+        assert "no snapshot" in capsys.readouterr().err
+        # the latest snapshot holds no firm to analyze
+        (tmp_path / "snapshot_t5.csv").write_text("t,firm_id,size,output,sold\n5,0,9,0,0\n")
+        (tmp_path / "snapshot_t10.csv").write_text("t,firm_id,size,output,sold\n10,0,0,0,0\n")
+        assert cli.main(["analyze", "--input", str(tmp_path)]) == 1
+        assert "no positive size" in capsys.readouterr().err
+        assert not (tmp_path / "ccdf.csv").exists()
 
     def test_oracle_pmf_table(self, capsys):
         assert cli.main(["oracle", "pmf", "--size", "1", "--margin", "0.1"]) == 0

@@ -304,16 +304,18 @@ class TestDeterminism:
                 assert np.array_equal(x, y)
 
     def test_allocation_mode_does_not_shift_replacement_draws(self):
-        # The initial offers (the sizes) sum to less than n_workers, so the job
-        # market does not bind and the same firms die under both modes. The
-        # goods market binds, so the modes do diverge there.
+        # ScenarioII offers last sales times p / w (here 1) as jobs. These
+        # offers sum to less than n_workers, so the job market does not bind
+        # and the same firms die under both modes. The goods market binds, so
+        # the modes do diverge there.
         initial = np.tile([0, 6, 9, 0, 12], 8)
         economies = []
         for alloc in Allocation:
             cfg = ModelConfig(n_firms=initial.size, n_workers=600, margin=0.1,
                               scenario=Scenario.WORKERS_ONLY_CONSUME,
                               allocation=alloc, seed=14, iterations=1)
-            economy = Economy(cfg, initial_sizes=initial)
+            economy = Economy(cfg)
+            economy.sold = initial.astype(float)
             economy.step()
             economies.append(economy)
         a, b = economies
@@ -360,10 +362,3 @@ class TestConfigValidation:
         economy.step()
         assert economy.output == pytest.approx(economy.size * 1.1)
         assert economy.time == 1
-
-    def test_initial_sizes_override(self):
-        cfg = ModelConfig(n_firms=3, n_workers=30, seed=16)
-        economy = Economy(cfg, initial_sizes=[10, 15, 5])
-        assert economy.size.tolist() == [10, 15, 5]
-        with pytest.raises(ValueError):
-            Economy(cfg, initial_sizes=[1, 2])
