@@ -81,6 +81,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_firms"):
             parse_config("n_firms = 1\nn_workers = 100\n")
 
+    def test_config_key_surface(self):
+        # every key a config file or flag may set, and the keys each preset takes
+        assert set(cli._PARSERS) == {
+            "preset", "output_dir", "seed", "seeds", "snapshot_times", "workers",
+            "min_size", "n_firms", "n_workers", "n_units", "iterations", "margin",
+            "wage", "price", "sigma", "beta", "replacement_low", "replacement_high",
+            "replacement_mean", "move_fraction", "scenario", "rounding", "allocation",
+        }
+        model = {"n_firms", "n_workers", "margin", "wage", "price", "rounding",
+                 "allocation", "replacement_low", "replacement_high", "iterations"}
+        noise = {"n_units", "n_workers", "sigma", "replacement_mean", "iterations"}
+        assert {name: set(p.keys) for name, p in cli.PRESETS.items()} == {
+            "ScenarioI": model,
+            "ScenarioII": model,
+            "Custom": model | {"scenario"},
+            "Additive": noise,
+            "Multiplicative": noise,
+            "ScaledBeta": noise | {"beta"},
+            "MarsiliSequential": {"n_units", "n_workers", "replacement_mean",
+                                  "iterations", "move_fraction"},
+        }
+
 
 @pytest.fixture
 def inline_pool(monkeypatch):
