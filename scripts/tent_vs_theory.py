@@ -34,7 +34,7 @@ def main() -> int:
     for _ in range(cfg.iterations):
         deviations.update(economy.step())
 
-    snap = SizeSnapshot.from_values(economy.time, economy.size)
+    snap = SizeSnapshot.from_values(economy.size)
     window = analytics.default_tail_range(snap.sizes)
     ols, _ = analytics.fit_power_law_tail(analytics.ccdf(snap), window,
                                           n_total=len(snap))

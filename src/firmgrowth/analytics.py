@@ -21,14 +21,13 @@ from .model import GrowthBatch
 class SizeSnapshot:
     """Sorted positive sizes of the population at one iteration."""
 
-    time: int
     sizes: np.ndarray  # descending, all > 0
 
     @classmethod
-    def from_values(cls, time: int, values) -> "SizeSnapshot":
+    def from_values(cls, values) -> "SizeSnapshot":
         arr = np.asarray(values, dtype=float)
         arr = arr[arr > 0]
-        return cls(time=time, sizes=np.sort(arr)[::-1])
+        return cls(np.sort(arr)[::-1])
 
     def __len__(self) -> int:
         return self.sizes.size
@@ -98,26 +97,29 @@ def ccdf(snapshot: SizeSnapshot) -> np.ndarray:
     return np.column_stack([values, at_least / snapshot.sizes.size])
 
 
-def default_tail_range(sizes: np.ndarray, floor: float = 10.0) -> tuple[float, float]:
+_TAIL_FLOOR = 10.0
+
+
+def default_tail_range(sizes: np.ndarray) -> tuple[float, float]:
     """Fit window for tail exponents: one decade starting just above the
     small-size discreteness threshold.
 
-    Sizes below ``floor`` take too few distinct values for a meaningful
+    Sizes below ``_TAIL_FLOOR`` take too few distinct values for a meaningful
     power-law reading, while at desk scale the largest decade sits in the
     finite-size cutoff and measures the cutoff rather than the scaling
-    region. The window therefore starts at ``max(floor, 25th percentile)``
-    and spans one decade.
+    region. The window therefore starts at ``max(_TAIL_FLOOR, 25th
+    percentile)`` and spans one decade.
     """
     arr = np.asarray(sizes, dtype=float)
     arr = arr[arr > 0]
     if arr.size < 8:
         raise ValueError("too few sizes to place a tail window")
-    low = max(floor, float(np.percentile(arr, 25.0)))
+    low = max(_TAIL_FLOOR, float(np.percentile(arr, 25.0)))
     return (low, 10.0 * low)
 
 
 def fit_power_law_tail(ccdf_points, fit_range: tuple[float, float],
-                       n_total: int | None = None) -> tuple[FitResult, FitResult]:
+                       n_total: int) -> tuple[FitResult, FitResult]:
     """Tail exponent of a CCDF by two routes: log-log OLS and a Hill-type MLE.
 
     OLS regresses log P on log size over ``fit_range``; the reported exponent
@@ -126,9 +128,9 @@ def fit_power_law_tail(ccdf_points, fit_range: tuple[float, float],
     correlated, so it is not a sampling error of the exponent. The MLE
     treats every observation above ``fit_range[0]`` as tail data:
     alpha = 1 / mean(log(x / x_min)), weighted by the point masses recovered
-    from the CCDF, with standard error alpha / sqrt(n_tail). Pass
-    ``n_total`` (the population size behind the CCDF) so the tail count and
-    the MLE error are exact.
+    from the CCDF, with standard error alpha / sqrt(n_tail). ``n_total`` is
+    the population size behind the CCDF, so n_tail counts firms, not
+    distinct sizes.
     """
     pts = np.asarray(ccdf_points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -158,7 +160,7 @@ def fit_power_law_tail(ccdf_points, fit_range: tuple[float, float],
     if mean_log <= 0:
         raise ValueError("tail has no spread above the cutoff")
     alpha = 1.0 / mean_log
-    n_tail = int(round(total_mass * n_total)) if n_total else int(tail.sum())
+    n_tail = int(round(total_mass * n_total))
     mle = FitResult(alpha, alpha / math.sqrt(n_tail),
                     (low, float(x_tail.max())), FitMethod.DISCRETE_MLE, n_tail)
     return ols, mle
@@ -215,7 +217,7 @@ class GrowthAccumulator:
     both the histogram and the dispersion estimates.
     """
 
-    def __init__(self, min_size: float = 10, bins_per_decade: float = 1.0):
+    def __init__(self, min_size: float, bins_per_decade: float = 1.0):
         self.min_size = min_size
         self.bins_per_decade = float(bins_per_decade)
         self.overflow = 0
@@ -308,6 +310,8 @@ def fit_beta(binned: Sequence[SizeBinStats]) -> FitResult:
 
 
 _DEV_BINS = 24
+_DEV_EDGES = np.logspace(math.log10(0.02), math.log10(0.45), _DEV_BINS + 1)
+_TENT_WINDOW = (0.02, 0.3)
 
 
 class DeviationAccumulator:
@@ -317,12 +321,10 @@ class DeviationAccumulator:
     rates of discrete firms live on lattices of spacing 1/size, and
     logarithmic deviation bins absorb those atoms into a consistent density
     where fixed-width bins around g = 1 alias them. ``_DEV_BINS`` bins span
-    ``d_range``, and records of firms of every positive size count.
+    [0.02, 0.45], and records of firms of every positive size count.
     """
 
-    def __init__(self, d_range: tuple[float, float] = (0.02, 0.45)):
-        self.edges = np.logspace(math.log10(d_range[0]), math.log10(d_range[1]),
-                                 _DEV_BINS + 1)
+    def __init__(self):
         self.counts = np.zeros(_DEV_BINS, dtype=np.int64)
 
     def update(self, batch: GrowthBatch) -> None:
@@ -330,27 +332,26 @@ class DeviationAccumulator:
         if before.size == 0:
             return
         dev = np.abs(after / before - 1.0)
-        self.counts += np.histogram(dev, bins=self.edges)[0]
+        self.counts += np.histogram(dev, bins=_DEV_EDGES)[0]
 
     def histogram(self) -> Histogram:
         total = int(self.counts.sum())
         if total == 0:
             raise ValueError("no growth deviations inside the histogram range")
-        return Histogram(self.edges, self.counts / (total * np.diff(self.edges)), total)
+        return Histogram(_DEV_EDGES, self.counts / (total * np.diff(_DEV_EDGES)), total)
 
 
-def central_tent_slope(hist: Histogram, window: tuple[float, float] = (0.02, 0.3)
-                       ) -> tuple[float, float, int]:
+def central_tent_slope(hist: Histogram) -> tuple[float, float, int]:
     """Log-log slope of density against |g - 1| near the peak.
 
     A value of -1 is the hallmark of the 1/|g-1| tent produced by mixing
     Gaussian growth over a broad size distribution. Takes a
     :class:`DeviationAccumulator` histogram (logarithmic bins in |g - 1|) and
-    reads each bin at its geometric centre. Returns (slope, std error,
-    points used).
+    reads the bins centred in ``_TENT_WINDOW`` at their geometric centres.
+    Returns (slope, std error, points used).
     """
     dev = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
-    sel = (dev >= window[0]) & (dev <= window[1]) & (hist.densities > 0)
+    sel = (dev >= _TENT_WINDOW[0]) & (dev <= _TENT_WINDOW[1]) & (hist.densities > 0)
     if sel.sum() < 3:
         raise ValueError("fewer than 3 populated bins inside the slope window")
     slope, _, se = _ols(np.log(dev[sel]), np.log(hist.densities[sel]))

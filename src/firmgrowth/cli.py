@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import enum
 import math
 import re
 import sys
+import typing
 from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
@@ -21,7 +23,7 @@ import numpy as np
 from . import analytics, io, theory
 from .baselines import (BaselineConfig, step_additive, step_marsili_sequential,
                         step_scaled_beta)
-from .model import Allocation, Economy, GrowthBatch, ModelConfig, Rounding, Scenario
+from .model import Economy, GrowthBatch, ModelConfig, Rounding, Scenario
 from .rng import substream
 
 
@@ -32,13 +34,9 @@ class ConfigError(ValueError):
 # Growth dispersion at size 1 that matches a 10% margin market.
 _SCALED_SIGMA = math.sqrt(0.1) / 1.1
 
-_MODEL_KEYS = frozenset({
-    "n_firms", "n_workers", "margin", "wage", "price", "scenario", "rounding",
-    "allocation", "replacement_low", "replacement_high", "iterations",
-})
-_BASELINE_KEYS = frozenset({
-    "n_units", "n_workers", "sigma", "replacement_mean", "iterations",
-})
+# The seed is a run key: each seed of a run materializes its own config.
+_MODEL_KEYS = frozenset(f.name for f in dc_fields(ModelConfig)) - {"seed"}
+_BASELINE_KEYS = frozenset(f.name for f in dc_fields(BaselineConfig)) - {"seed"}
 
 
 @dataclass(frozen=True)
@@ -62,18 +60,17 @@ PRESETS: dict[str, Preset] = {
     ), _MODEL_KEYS),
     "Additive": Preset("additive", dict(
         n_units=1000, n_workers=100_000, sigma=1.0, iterations=2000,
-    ), _BASELINE_KEYS),
+    ), _BASELINE_KEYS - {"beta", "move_fraction"}),
     "Multiplicative": Preset("scaled", dict(
         n_units=10_000, n_workers=500_000, sigma=0.2, iterations=4000,
-    ), _BASELINE_KEYS),
+    ), _BASELINE_KEYS - {"beta", "move_fraction"}),
     "ScaledBeta": Preset("scaled", dict(
         n_units=10_000, n_workers=1_000_000, sigma=_SCALED_SIGMA, beta=0.25,
         iterations=3000,
-    ), _BASELINE_KEYS | {"beta"}),
+    ), _BASELINE_KEYS - {"move_fraction"}),
     "MarsiliSequential": Preset("marsili", dict(
         n_units=500, n_workers=50_000, move_fraction=0.05, iterations=300,
-    ), frozenset({"n_units", "n_workers", "replacement_mean", "iterations",
-                  "move_fraction"})),
+    ), _BASELINE_KEYS - {"sigma", "beta"}),
 }
 
 
@@ -113,28 +110,17 @@ def _parse_int_list(raw: str) -> list[int]:
 
 _PARSERS = {
     "preset": str,
-    "output_dir": str,
+    "output_dir": Path,
     "seed": int,
     "seeds": _parse_int_list,
     "snapshot_times": _parse_int_list,
     "workers": int,
     "min_size": _parse_finite,
-    "n_firms": int,
-    "n_workers": int,
-    "n_units": int,
-    "iterations": int,
-    "margin": _parse_finite,
-    "wage": _parse_finite,
-    "price": _parse_finite,
-    "sigma": _parse_finite,
-    "beta": _parse_finite,
-    "replacement_low": _parse_finite,
-    "replacement_high": _parse_finite,
-    "replacement_mean": _parse_finite,
-    "move_fraction": _parse_finite,
-    "scenario": _parse_enum(Scenario),
-    "rounding": _parse_enum(Rounding),
-    "allocation": _parse_enum(Allocation),
+    # every model and baseline field, parsed by its declared type
+    **{name: _parse_enum(kind) if issubclass(kind, enum.Enum)
+       else {int: int, float: _parse_finite}[kind]
+       for config in (ModelConfig, BaselineConfig)
+       for name, kind in typing.get_type_hints(config).items()},
 }
 
 
@@ -167,26 +153,16 @@ def _resolve(mapping: dict[str, tuple[str, int]]) -> RunSpec:
         except ValueError as exc:
             raise ConfigError(f"{where}bad value for '{key}': {exc}") from None
 
-    preset = values.pop("preset", "Custom")
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset '{preset}'; options: {', '.join(PRESETS)}")
-    seeds = values.pop("seeds", None)
-    seed = values.pop("seed", None)
-    if seeds is None:
-        seeds = [seed if seed is not None else 1]
-    elif seed is not None:
-        raise ConfigError("give either 'seed' or 'seeds', not both")
-    if not seeds or len(set(seeds)) < len(seeds):
+    if "seed" in values:
+        if "seeds" in values:
+            raise ConfigError("give either 'seed' or 'seeds', not both")
+        values["seeds"] = [values.pop("seed")]
+    given = {f.name: values.pop(f.name) for f in dc_fields(RunSpec) if f.name in values}
+    spec = RunSpec(**given, overrides=values)
+    if spec.preset not in PRESETS:
+        raise ConfigError(f"unknown preset '{spec.preset}'; options: {', '.join(PRESETS)}")
+    if not spec.seeds or len(set(spec.seeds)) < len(spec.seeds):
         raise ConfigError("give one or more distinct seeds")
-    spec = RunSpec(
-        preset=preset,
-        output_dir=Path(values.pop("output_dir", "out")),
-        snapshot_times=values.pop("snapshot_times", None),
-        seeds=seeds,
-        workers=int(values.pop("workers", 1)),
-        min_size=values.pop("min_size", 10.0),
-    )
-    spec.overrides = values
     if spec.workers < 1:
         raise ConfigError("workers must be at least 1")
     if spec.min_size < 1:
@@ -317,7 +293,7 @@ def _seed_job(spec: RunSpec, seed: int) -> list[tuple[str, str]]:
         if t + 1 in times:
             paths.append(seed_dir / f"snapshot_t{t + 1}.csv")
             io.write_snapshot(paths[-1], t + 1, sizes, outputs, solds)
-    snap = analytics.SizeSnapshot.from_values(cfg.iterations, sizes)
+    snap = analytics.SizeSnapshot.from_values(sizes)
     paths += _write_analytics(seed_dir, snap, acc)
     return [(p.relative_to(spec.output_dir).as_posix(), io.sha256_file(p))
             for p in sorted(paths)]
@@ -372,7 +348,10 @@ def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
     if not snapshots:
         raise ConfigError(f"no snapshot CSVs found in {input_dir}")
     t, latest = max(snapshots)
-    snap = analytics.SizeSnapshot.from_values(t, io.read_snapshot_sizes(latest))
+    try:
+        snap = analytics.SizeSnapshot.from_values(io.read_snapshot_sizes(latest))
+    except ValueError as exc:
+        raise ConfigError(f"{latest}: {exc}") from None
     if len(snap) == 0:
         raise ConfigError(f"{latest} holds no positive size")
     outdir = output_dir if output_dir is not None else input_dir
@@ -390,19 +369,20 @@ def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
 
 def oracle(what: str, args: argparse.Namespace) -> int:
     """Print oracle tables as CSV on stdout."""
-    if what == "pmf":
-        pmf = theory.job_count_pmf_oracle(args.size, args.margin)
-        print("k,probability")
-        for k, p in enumerate(pmf):
-            print(f"{k},{io.fmt(p)}")
-        return 0
-    params = theory.TheoryParams(alpha=args.alpha, beta=args.beta,
-                                 cutoff_n0=args.cutoff, c=args.scale)
-    grid = theory.default_growth_grid(args.g_min, args.g_max, args.points)
-    curve = theory.theoretical_growth_curve(params, grid)
-    print("g,density")
-    for g, d in zip(grid, curve):
-        print(f"{io.fmt(g)},{io.fmt(d)}")
+    try:  # the oracles reject parameters outside their domain
+        if what == "pmf":
+            values = theory.job_count_pmf_oracle(args.size, args.margin)
+            header, points = "k,probability", range(values.size)
+        else:
+            params = theory.TheoryParams(alpha=args.alpha, beta=args.beta,
+                                         cutoff_n0=args.cutoff, c=args.scale)
+            points = theory.default_growth_grid(args.g_min, args.g_max, args.points)
+            header, values = "g,density", theory.theoretical_growth_curve(params, points)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    print(header)
+    for x, p in zip(points, values):
+        print(f"{io.fmt(x)},{io.fmt(p)}")
     return 0
 
 
@@ -423,7 +403,7 @@ def _build_parser() -> _Parser:
         run_p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=str,
                            help=f"override config key '{key}'")
     run_p.add_argument("--output-dir", "-o", dest="output_dir", type=str,
-                       help="directory for run outputs (default: out)")
+                       help=f"directory for run outputs (default: {RunSpec.output_dir})")
 
     an_p = sub.add_parser("analyze", help="re-run size analytics on snapshot CSVs")
     an_p.add_argument("--input", type=Path, required=True,
@@ -435,16 +415,16 @@ def _build_parser() -> _Parser:
     or_sub = or_p.add_subparsers(dest="what", required=True)
     pmf_p = or_sub.add_parser("pmf", help="exact next-size pmf for one firm")
     pmf_p.add_argument("--size", type=int, required=True)
-    pmf_p.add_argument("--margin", type=float, default=0.1)
+    pmf_p.add_argument("--margin", type=_parse_finite, default=0.1)
     den_p = or_sub.add_parser("density", help="theoretical aggregate growth density")
-    den_p.add_argument("--alpha", type=float, required=True)
-    den_p.add_argument("--beta", type=float, required=True)
-    den_p.add_argument("--cutoff", type=float, default=0.0,
+    den_p.add_argument("--alpha", type=_parse_finite, required=True)
+    den_p.add_argument("--beta", type=_parse_finite, required=True)
+    den_p.add_argument("--cutoff", type=_parse_finite, default=0.0,
                        help="lower size cutoff of the size distribution")
-    den_p.add_argument("--scale", type=float, default=0.1,
+    den_p.add_argument("--scale", type=_parse_finite, default=0.1,
                        help="growth variance at size 1")
-    den_p.add_argument("--g-min", type=float, default=0.0)
-    den_p.add_argument("--g-max", type=float, default=2.0)
+    den_p.add_argument("--g-min", type=_parse_finite, default=0.0)
+    den_p.add_argument("--g-max", type=_parse_finite, default=2.0)
     den_p.add_argument("--points", type=int, default=402)
     return parser
 

@@ -60,8 +60,10 @@ def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
 
 
 def read_snapshot_sizes(path: Path) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
-    return np.asarray(data, dtype=float)
+    sizes = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
+    if not np.isfinite(sizes).all():
+        raise ValueError("a size is not a finite number")
+    return sizes
 
 
 def write_ccdf(path: Path, points: np.ndarray) -> None:

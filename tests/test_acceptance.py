@@ -41,7 +41,7 @@ def run_preset(preset, seed, *accumulators):
         batch, sizes, _, _ = advance(t)
         for acc in accumulators:
             acc.update(batch)
-    return SizeSnapshot.from_values(cfg.iterations, sizes)
+    return SizeSnapshot.from_values(sizes)
 
 
 def tail_fits(snap):
@@ -62,7 +62,7 @@ def workforce_scarce_measures(seed):
     sized, deviations = GrowthAccumulator(min_size=10), DeviationAccumulator()
     run_preset("ScenarioI", seed, sized, deviations)
     return (analytics.fit_beta(sized.binned()),
-            analytics.central_tent_slope(deviations.histogram(), (0.02, 0.3)))
+            analytics.central_tent_slope(deviations.histogram()))
 
 
 def scaled_noise_beta(seed):

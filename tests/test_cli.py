@@ -153,13 +153,6 @@ class TestRun:
         assert manifest.count("snapshot_t20.csv") == 2
         assert "sha256" in capsys.readouterr().out
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        spec_a = RunSpec(output_dir=tmp_path / "a", **SMALL_RUN)
-        spec_b = RunSpec(output_dir=tmp_path / "b", **SMALL_RUN)
-        run(spec_a)
-        run(spec_b)
-        assert read_bytes_tree(tmp_path / "a") == read_bytes_tree(tmp_path / "b")
-
     def test_worker_pool_matches_serial(self, tmp_path):
         serial = RunSpec(output_dir=tmp_path / "serial", **SMALL_RUN)
         pooled = RunSpec(output_dir=tmp_path / "pooled", workers=2, **SMALL_RUN)
@@ -334,7 +327,14 @@ class TestMainEntry:
         (tmp_path / "snapshot_t10.csv").write_text("t,firm_id,size,output,sold\n10,0,0,0,0\n")
         assert cli.main(["analyze", "--input", str(tmp_path)]) == 1
         assert "no positive size" in capsys.readouterr().err
-        assert not (tmp_path / "ccdf.csv").exists()
+        # a malformed latest snapshot, or one holding a size that is not finite
+        for row in ("10,0,abc,0,0", "10,0", "10,0,inf,0,0", "10,0,nan,0,0"):
+            (tmp_path / "snapshot_t10.csv").write_text(
+                f"t,firm_id,size,output,sold\n10,1,9,0,0\n{row}\n")
+            assert cli.main(["analyze", "--input", str(tmp_path)]) == 1, row
+            assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snapshot_t10.csv", "snapshot_t5.csv", "snapshot_tlast.csv"]
 
     def test_oracle_pmf_table(self, capsys):
         assert cli.main(["oracle", "pmf", "--size", "1", "--margin", "0.1"]) == 0
@@ -354,8 +354,20 @@ class TestMainEntry:
 
     def test_oracle_divergent_params_exit_code(self, capsys):
         code = cli.main(["oracle", "density", "--alpha", "0.7", "--beta", "0.5"])
-        assert code == 2
+        assert code == 1
         assert "diverges" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        "pmf --size 31", "pmf --size 0", "pmf --size 3 --margin 1.5",
+        "pmf --size 3 --margin nan", "density --alpha 0.3 --beta 0.9",
+        "density --alpha 0.3 --beta 0.5 --points 2", "density --alpha nan --beta 0.5",
+        "density --alpha 0.3 --beta 0.5 --g-max inf",
+    ])
+    def test_oracle_invalid_parameter_is_config_error(self, args, capsys):
+        assert cli.main(["oracle", *args.split()]) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert captured.out == ""
 
     def test_nine_significant_digit_rendering(self, tmp_path):
         out = tmp_path / "out"

@@ -67,12 +67,6 @@ class TestProbabilisticRound:
         up = (draws == 2).mean()
         assert abs(up - 0.1) < 4 * freq_se(0.1, n)
 
-    def test_unbiased_mean(self):
-        rng = substream(3, 0)
-        n = 1_000_000
-        mean = round_array(np.full(n, 2.5), rng).mean()
-        assert abs(mean - 2.5) < 0.002  # 4 standard errors of a fair coin
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             round_array([2.0, -0.1], substream(4, 0))

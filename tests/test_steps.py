@@ -60,29 +60,6 @@ class TestScenarioI:
         expected = 2 * 0.1 / 1.1**2 * 1000
         assert abs(after.var(ddof=1) / expected - 1) < 0.05
 
-    def test_per_job_trinomial_frequencies(self):
-        # a single job maps to 0/1/2 jobs with the exact doubling/thinning mix
-        mu = 0.1
-        rng = substream(21, 0)
-        reps = 1_000_000
-        offers = 1 + rng.binomial(np.ones(reps, dtype=np.int64), mu)
-        landed = rng.binomial(offers, 1 / (1 + mu))
-        q = mu / (1 + mu) ** 2
-        probs = {0: q, 1: (1 + mu**2) / (1 + mu) ** 2, 2: q}
-        assert abs(sum(probs.values()) - 1) < 1e-12
-        for k, p in probs.items():
-            se = math.sqrt(p * (1 - p) / reps)
-            assert abs((landed == k).mean() - p) < 4 * se
-
-    def test_worker_conservation_exact_matching(self):
-        cfg = ModelConfig(n_firms=150, n_workers=7500, margin=0.1,
-                          scenario=Scenario.FIRMS_CONSUME,
-                          allocation=Allocation.EXACT_MATCHING, seed=5, iterations=300)
-        economy = Economy(cfg)
-        for _ in range(300):
-            economy.step()
-            assert economy.employed == cfg.n_workers
-
     def test_firm_count_constant(self):
         cfg = ModelConfig(n_firms=50, n_workers=500, margin=0.2, seed=6, iterations=200)
         economy = Economy(cfg)

@@ -1,5 +1,4 @@
 """Exact references: the next-size pmf and the growth-density quadrature."""
-import math
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import firmgrowth
-from firmgrowth.rng import substream
 from firmgrowth.theory import (
     TheoryParams,
     default_growth_grid,
@@ -47,16 +45,6 @@ class TestJobCountPmf:
             job_count_pmf_oracle(0, 0.1)
         with pytest.raises(ValueError):
             job_count_pmf_oracle(3, 1.2)
-
-    def test_monte_carlo_agreement(self):
-        size, margin, reps = 3, 0.1, 200_000
-        rng = substream(77, 0)
-        offers = size + rng.binomial(np.full(reps, size), margin)
-        landed = rng.binomial(offers, 1 / (1 + margin))
-        pmf = job_count_pmf_oracle(size, margin)
-        for k, p in enumerate(pmf):
-            se = math.sqrt(p * (1 - p) / reps)
-            assert abs((landed == k).mean() - p) <= 4 * se + 1e-9
 
 
 class TestGrowthDensity:
