@@ -104,6 +104,9 @@ def _parse_finite(raw: str) -> float:
     return value
 
 
+_parse_finite.__name__ = "finite float"  # argparse names a flag's type by it
+
+
 def _parse_int_list(raw: str) -> list[int]:
     return [int(part) for part in raw.replace(" ", "").split(",") if part]
 
