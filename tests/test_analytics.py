@@ -33,9 +33,8 @@ def growth_histogram(before, after, min_size):
     return fed(GrowthAccumulator(min_size=min_size), before, after).histogram()
 
 
-def bin_by_size(before, after, bins_per_decade=1.0):
-    return fed(GrowthAccumulator(min_size=0, bins_per_decade=bins_per_decade),
-               before, after).binned()
+def bin_by_size(before, after):
+    return fed(GrowthAccumulator(min_size=0), before, after).binned()
 
 
 class TestCcdf:
