@@ -14,8 +14,6 @@ from .model import (
     replace_extinct,
     required_workers,
     round_array,
-    step_scenario_i,
-    step_scenario_ii,
 )
 from .baselines import (
     BaselineConfig,

@@ -214,16 +214,18 @@ class GrowthAccumulator:
     logarithmic size bin: its record count, then the sums of g, g**2 and
     log(size). ``min_size`` drops records of firms below the threshold; their
     growth rates only take a handful of discrete values and would distort
-    both the histogram and the dispersion estimates.
+    both the histogram and the dispersion estimates. It is at least 1, so
+    row k of the table is size bin k, and the table only grows upward.
     """
 
     def __init__(self, min_size: float, bins_per_decade: float = 1.0):
+        if not min_size >= 1:
+            raise ValueError("min_size must be at least 1")
         self.min_size = min_size
         self.bins_per_decade = float(bins_per_decade)
         self.overflow = 0
         self.g_max = _G_MAX
         self._hist = np.zeros(_G_BINS, dtype=np.int64)
-        self._k0 = 0  # size bin of the table's first row; the table grows both ways
         self._table = np.zeros((0, 4))
 
     @property
@@ -241,14 +243,10 @@ class GrowthAccumulator:
             self.g_max = max(self.g_max, float(g[over].max()))
         self._hist += np.bincount(_growth_bin(g), minlength=_G_BINS)
 
-        ks = np.floor(self.bins_per_decade * np.log10(before)).astype(np.int64)
-        rows = ks - self._k0
-        below = max(-int(rows.min()), 0)
-        above = max(int(rows.max()) + 1 - len(self._table), 0)
-        if below or above:  # new size bins: extend the table
-            self._table = np.pad(self._table, ((below, above), (0, 0)))
-            self._k0 -= below
-            rows += below
+        rows = np.floor(self.bins_per_decade * np.log10(before)).astype(np.int64)
+        above = int(rows.max()) + 1 - len(self._table)
+        if above > 0:  # new size bins: extend the table
+            self._table = np.pad(self._table, ((0, above), (0, 0)))
         n_rows = len(self._table)
         for col, weights in enumerate((None, g, g * g, np.log(before))):
             self._table[:, col] += np.bincount(rows, weights, n_rows)
@@ -278,9 +276,8 @@ class GrowthAccumulator:
         """
         out = []
         bpd = self.bins_per_decade
-        for row in np.flatnonzero(self._table[:, 0] >= _MIN_COUNT):
-            k = self._k0 + int(row)
-            count, sum_g, sum_g2, sum_log_n = self._table[row]
+        for k in np.flatnonzero(self._table[:, 0] >= _MIN_COUNT).tolist():
+            count, sum_g, sum_g2, sum_log_n = self._table[k]
             count = int(count)
             var = (sum_g2 - sum_g * sum_g / count) / (count - 1)
             out.append(SizeBinStats(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GrowthBatch, equal_split, round_array
+from .model import entrant_sizes, equal_split, round_array
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,6 @@ class BaselineConfig:
         return np.full(self.n_units, self.n_workers / self.n_units, dtype=float)
 
 
-def _replacement_draw(count: int, mean: float, rng: np.random.Generator) -> np.ndarray:
-    # Uniform on [mean - 1/2, mean + 1/2], probabilistically rounded; for the
-    # default mean 1.5 this gives sizes in {1, 2}. Entrants are at least 1.
-    sizes = round_array(rng.uniform(mean - 0.5, mean + 0.5, count), rng)
-    return np.maximum(sizes, 1)
-
-
 def step_additive(sizes, sigma: float, rng: np.random.Generator,
                   replacement_mean: float = 1.5) -> np.ndarray:
     """One step of purely additive Gaussian noise at constant global size.
@@ -90,9 +83,10 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     With ``beta = 0`` this is plain multiplicative noise, g ~ Normal(1, c):
     the probabilistic rounding of ``g * n`` plays the role of the small
     additive term that keeps a stationary state, and units that reach zero
-    are replaced at ``replacement_mean``. With ``beta = 0.5`` the post-step
-    variance is ``c * n``, the same scaling the market model produces
-    without any market mechanics.
+    are replaced by entrants drawn uniformly on ``replacement_mean`` +/- 1/2
+    (:func:`~firmgrowth.model.entrant_sizes`). With ``beta = 0.5`` the
+    post-step variance is ``c * n``, the same scaling the market model
+    produces without any market mechanics.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -113,23 +107,24 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     out = round_array(grown, rng)
     dead = np.flatnonzero(out == 0)
     if dead.size:
-        out[dead] = _replacement_draw(dead.size, replacement_mean, rng)
+        out[dead] = entrant_sizes(dead.size, replacement_mean - 0.5,
+                                  replacement_mean + 0.5, rng)
     return out
 
 
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
-                            replacement_mean: float = 1.5) -> tuple[np.ndarray, GrowthBatch]:
+                            replacement_mean: float = 1.5) -> np.ndarray:
     """Sequential relocation dynamics: one worker moves at a time.
 
     Each elementary move picks a worker uniformly at random, removes it from
     its city, and reassigns it to a city with probability proportional to the
     current (already updated) sizes. A city emptied by a move is refilled
-    immediately with a small entrant population: each entrant is a worker
-    picked uniformly from all ``total`` workers, the refilled city's own new
-    workers included, and moved there, so the total is conserved exactly. A
-    donor city left empty by this is not refilled; with zero weight it is
-    never picked again. Growth records compare the sizes before and after the
-    whole batch of moves.
+    immediately with an entrant population drawn as in
+    :func:`step_scaled_beta`: each entrant is a worker picked uniformly from
+    all ``total`` workers, the refilled city's own new workers included, and
+    moved there, so the total is conserved exactly. A donor city left empty
+    by this is not refilled; with zero weight it is never picked again.
+    Returns the sizes after the whole batch of moves.
 
     Workers carry labels ``0 .. total - 1``, laid out city by city in
     ``home`` at the start of the step, and ``moved`` holds the current city
@@ -142,7 +137,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     mover and host is drawn up front, so the draws differ from one scalar
     draw per pick in order only.
     """
-    sizes = np.asarray(city_sizes, dtype=np.int64).copy()
+    sizes = np.asarray(city_sizes, dtype=np.int64)
     if sizes.size == 0:
         raise ValueError("city_sizes must be non-empty")
     if sizes.min() < 0:
@@ -152,7 +147,6 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         raise ValueError("total population must be positive")
     if n_moves > total:
         raise ValueError(f"cannot move {n_moves} workers, only {total} exist")
-    before = sizes.astype(float)
 
     movers = rng.integers(total, size=n_moves)
     hosts = rng.integers(total - 1, size=n_moves)
@@ -167,13 +161,12 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         size[origin] -= 1
         size[dest] += 1
         if not size[origin]:
-            entrant = int(_replacement_draw(1, replacement_mean, rng)[0])
-            entrant = min(entrant, total - 1)
+            entrant = entrant_sizes(1, replacement_mean - 0.5, replacement_mean + 0.5, rng)
+            entrant = min(int(entrant[0]), total - 1)
             donors = rng.integers(total, size=entrant)
             for d, home_d in zip(donors.tolist(), home[donors].tolist()):
                 size[moved.get(d, home_d)] -= 1
                 moved[d] = origin
             size[origin] += entrant
 
-    sizes = np.array(size, dtype=np.int64)
-    return sizes, GrowthBatch(before, sizes)
+    return np.array(size, dtype=np.int64)

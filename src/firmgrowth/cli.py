@@ -161,7 +161,11 @@ def _resolve(mapping: dict[str, tuple[str, int]]) -> RunSpec:
             raise ConfigError("give either 'seed' or 'seeds', not both")
         values["seeds"] = [values.pop("seed")]
     given = {f.name: values.pop(f.name) for f in dc_fields(RunSpec) if f.name in values}
-    spec = RunSpec(**given, overrides=values)
+    return RunSpec(**given, overrides=values)
+
+
+def _seed_configs(spec: RunSpec) -> dict[int, tuple[str, object]]:
+    """Check the spec and materialize each of its seeds: seed -> (kind, config)."""
     if spec.preset not in PRESETS:
         raise ConfigError(f"unknown preset '{spec.preset}'; options: {', '.join(PRESETS)}")
     if not spec.seeds or len(set(spec.seeds)) < len(spec.seeds):
@@ -170,14 +174,14 @@ def _resolve(mapping: dict[str, tuple[str, int]]) -> RunSpec:
         raise ConfigError("workers must be at least 1")
     if spec.min_size < 1:
         raise ConfigError("min_size must be at least 1")
-    for seed in spec.seeds:  # fail before any output on invalid combinations
-        materialize(spec, seed)
-    return spec
+    return {seed: materialize(spec, seed) for seed in spec.seeds}
 
 
 def parse_config(text: str) -> RunSpec:
     """Parse a `key = value` config file into a validated RunSpec."""
-    return _resolve(_parse_lines(text))
+    spec = _resolve(_parse_lines(text))
+    _seed_configs(spec)
+    return spec
 
 
 def materialize(spec: RunSpec, seed: int):
@@ -205,13 +209,17 @@ def materialize(spec: RunSpec, seed: int):
                 raise ValueError("sigma**2, the growth variance at size 1, overflows a float")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    iters = cfg.iterations
-    times = spec.snapshot_times if spec.snapshot_times is not None else [iters]
+    times = _snapshot_times(spec, cfg)
     if sorted(times) != list(times) or any(t < 1 for t in times):
         raise ConfigError("snapshot_times must be ascending positive iterations")
-    if times and times[-1] > iters:
+    if times and times[-1] > cfg.iterations:
         raise ConfigError("snapshot_times may not exceed iterations")
     return preset.kind, cfg
+
+
+def _snapshot_times(spec: RunSpec, cfg) -> list[int]:
+    """Iterations after which a snapshot is written: the final one by default."""
+    return spec.snapshot_times if spec.snapshot_times is not None else [cfg.iterations]
 
 
 def _write_size_analytics(outdir: Path, snap: analytics.SizeSnapshot):
@@ -268,11 +276,10 @@ def _stepper(kind: str, cfg):
     def advance(t):
         nonlocal sizes
         rng = substream(cfg.seed, 0, t)
-        if kind == "marsili":
-            sizes, batch = step_marsili_sequential(sizes, n_moves, rng, cfg.replacement_mean)
-            return batch, sizes, zeros, zeros
         before = sizes
-        if kind == "additive":
+        if kind == "marsili":
+            sizes = step_marsili_sequential(sizes, n_moves, rng, cfg.replacement_mean)
+        elif kind == "additive":
             sizes = step_additive(sizes, cfg.sigma, rng, cfg.replacement_mean)
         else:
             sizes = step_scaled_beta(sizes, cfg.sigma ** 2, cfg.beta, rng, cfg.replacement_mean)
@@ -280,12 +287,10 @@ def _stepper(kind: str, cfg):
     return advance
 
 
-def _seed_job(spec: RunSpec, seed: int) -> list[tuple[str, str]]:
-    """Simulate one seed; returns (relative path, sha256) pairs."""
-    kind, cfg = materialize(spec, seed)
-    times = set(spec.snapshot_times if spec.snapshot_times is not None
-                else [cfg.iterations])
-    seed_dir = spec.output_dir / f"seed_{seed:05d}"
+def _seed_job(spec: RunSpec, kind: str, cfg) -> list[tuple[str, str]]:
+    """Simulate one materialized seed; returns (relative path, sha256) pairs."""
+    times = set(_snapshot_times(spec, cfg))
+    seed_dir = spec.output_dir / f"seed_{cfg.seed:05d}"
     seed_dir.mkdir(parents=True, exist_ok=True)
     advance = _stepper(kind, cfg)
     acc = analytics.GrowthAccumulator(min_size=spec.min_size)
@@ -312,18 +317,19 @@ def _naming_seed(seed: int, fn, *args):
 
 def run(spec: RunSpec) -> int:
     """Simulate every seed of the spec and write the output manifest."""
+    configs = _seed_configs(spec)  # an invalid spec fails before anything is written
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     results: dict[int, list[tuple[str, str]]] = {}
     # A forked pool starts all its workers at the first submit: no more than seeds.
     workers = min(spec.workers, len(spec.seeds))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {s: pool.submit(_seed_job, spec, s) for s in spec.seeds}
+            futures = {s: pool.submit(_seed_job, spec, *configs[s]) for s in spec.seeds}
             for seed, fut in futures.items():
                 results[seed] = _naming_seed(seed, fut.result)
     else:
         for seed in spec.seeds:
-            results[seed] = _naming_seed(seed, _seed_job, spec, seed)
+            results[seed] = _naming_seed(seed, _seed_job, spec, *configs[seed])
 
     config_rows: list[tuple[str, str, str, str]] = [
         ("", "run", "preset", spec.preset),
@@ -331,7 +337,7 @@ def run(spec: RunSpec) -> int:
     ]
     file_rows: list[tuple[str, str, str, str]] = []
     for seed in spec.seeds:  # deterministic order regardless of pool scheduling
-        _, cfg = materialize(spec, seed)
+        _, cfg = configs[seed]
         for f in dc_fields(cfg):
             value = getattr(cfg, f.name)
             text = value.value if hasattr(value, "value") else str(value)

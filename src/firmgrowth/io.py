@@ -61,8 +61,8 @@ def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
 
 def read_snapshot_sizes(path: Path) -> np.ndarray:
     sizes = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
-    if not np.isfinite(sizes).all():
-        raise ValueError("a size is not a finite number")
+    if not ((sizes >= 0) & (sizes < np.inf)).all():
+        raise ValueError("a size is negative or not a finite number")
     return sizes
 
 

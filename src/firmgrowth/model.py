@@ -281,11 +281,29 @@ class Economy:
         """Advance one iteration; returns its growth records: employees in
         the firms-consume scenario, sales in the workers-only-consume one."""
         if self.config.scenario is Scenario.FIRMS_CONSUME:
-            return step_scenario_i(self)
-        return step_scenario_ii(self)
+            return _step_firms_consume(self)
+        return _step_workers_only_consume(self)
 
 
-def step_scenario_i(economy: Economy) -> GrowthBatch:
+def _hire(economy: Economy, t: int) -> float:
+    """The job market of iteration ``t``: the ``n_workers`` workers fill the
+    posted ``job_offer`` slots, drawn only when the offers exceed them. Sets
+    ``size``, ``employed`` and ``output``; returns the fill probability."""
+    cfg = economy.config
+    offers = economy.job_offer
+    total_offers = int(offers.sum())
+    if total_offers > cfg.n_workers:
+        hired = allocate_market(offers, cfg.n_workers, cfg.allocation,
+                                substream(cfg.seed, JOB_MARKET_STREAM, t))
+    else:
+        hired = offers.copy()
+    economy.size = hired
+    economy.employed = int(hired.sum())
+    economy.output = production(hired, cfg.margin, cfg.wage, cfg.price)
+    return cfg.n_workers / total_offers if total_offers > cfg.n_workers else 1.0
+
+
+def _step_firms_consume(economy: Economy) -> GrowthBatch:
     """One production cycle when firms spend their profits (scarce workforce).
 
     Firms post ``size * (1 + margin)`` job offers (rounded by the configured
@@ -294,28 +312,17 @@ def step_scenario_i(economy: Economy) -> GrowthBatch:
     worker are replaced by entrants whose offers enter the next job market.
     """
     cfg = economy.config
-    if cfg.scenario is not Scenario.FIRMS_CONSUME:
-        raise ValueError("economy is not in the firms-consume scenario")
     t = economy.time
-    w, p, mu = cfg.wage, cfg.price, cfg.margin
 
     size_before = economy.size.copy()
     offer_rng = substream(cfg.seed, OFFER_STREAM, t)
     if cfg.rounding is Rounding.PER_UNIT:
-        offers = per_unit_offer_array(size_before, mu, offer_rng)
+        economy.job_offer = per_unit_offer_array(size_before, cfg.margin, offer_rng)
     else:
-        offers = round_array(size_before * (1.0 + mu), offer_rng)
-    economy.job_offer = offers
-    total_offers = int(offers.sum())
-
-    hired = allocate_market(offers, cfg.n_workers, cfg.allocation,
-                            substream(cfg.seed, JOB_MARKET_STREAM, t))
-    economy.size = hired
-    economy.employed = int(hired.sum())
-    fill = min(1.0, cfg.n_workers / total_offers) if total_offers > 0 else 1.0
+        economy.job_offer = round_array(size_before * (1.0 + cfg.margin), offer_rng)
+    fill = _hire(economy, t)
 
     # Demand always suffices here: the whole production is sold.
-    economy.output = production(economy.size, mu, w, p)
     economy.sold = economy.output.copy()
     q_total = float(economy.output.sum())
     economy.market = MarketProbabilities(fill, 1.0, q_total, q_total)
@@ -327,7 +334,7 @@ def step_scenario_i(economy: Economy) -> GrowthBatch:
     return batch
 
 
-def step_scenario_ii(economy: Economy) -> GrowthBatch:
+def _step_workers_only_consume(economy: Economy) -> GrowthBatch:
     """One production cycle when only wages are spent (scarce demand).
 
     Firms plan from last realized profits, hire accordingly (the job market
@@ -343,8 +350,6 @@ def step_scenario_ii(economy: Economy) -> GrowthBatch:
     goods need ``s * p / w`` workers, so that is the job offer, rounded.
     """
     cfg = economy.config
-    if cfg.scenario is not Scenario.WORKERS_ONLY_CONSUME:
-        raise ValueError("economy is not in the workers-only-consume scenario")
     t = economy.time
     w, p, mu = cfg.wage, cfg.price, cfg.margin
     # Not changed in place below: the step assigns a new array.
@@ -367,25 +372,14 @@ def step_scenario_ii(economy: Economy) -> GrowthBatch:
             economy.job_offer = round_array(workers, substream(cfg.seed, OFFER_STREAM, t))
 
     replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
+    fill = _hire(economy, t)
 
-    offers = economy.job_offer
-    total_offers = int(offers.sum())
-    if total_offers > cfg.n_workers:
-        hired = allocate_market(offers, cfg.n_workers, cfg.allocation,
-                                substream(cfg.seed, JOB_MARKET_STREAM, t))
-    else:
-        hired = offers.copy()
-    economy.size = hired
-    economy.employed = employed = int(hired.sum())
-    fill = min(1.0, cfg.n_workers / total_offers) if total_offers > 0 else 1.0
-
-    economy.output = production(hired, mu, w, p)
     # Goods are traded in units of one: the fractional production is rounded
     # unbiasedly for the market, while planning keeps the exact quantity
     # (otherwise the aggregate job offer, hence employment, would drift).
     goods_rng = substream(cfg.seed, GOODS_STREAM, t)
     units = round_array(economy.output, goods_rng)
-    demand_units = int(round_array(employed * w / p, goods_rng))
+    demand_units = int(round_array(economy.employed * w / p, goods_rng))
     supply_units = int(units.sum())
     sold = allocate_market(units, demand_units, cfg.allocation, goods_rng).astype(float)
     economy.sold = sold
@@ -400,22 +394,28 @@ def step_scenario_ii(economy: Economy) -> GrowthBatch:
     return GrowthBatch(sold_before, sales_after)
 
 
+def entrant_sizes(count: int, low: float, high: float, rng: np.random.Generator) -> np.ndarray:
+    """Sizes of ``count`` entrants: uniform on [low, high], rounded
+    probabilistically, and at least 1. Every simulator draws its entrants
+    here; [1, 2] gives sizes in {1, 2} with mean 1.5."""
+    return np.maximum(round_array(rng.uniform(low, high, count), rng), 1)
+
+
 def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
     """Replace dead firms with entrants; returns the number replaced.
 
-    Entrant sizes are drawn uniformly from the replacement interval and
-    rounded probabilistically (default [1, 2]: sizes in {1, 2}, mean 1.5).
-    In the firms-consume scenario a firm is dead when its size reached zero
-    and the entrant's offer simply joins the next job market. In the
-    workers-only-consume scenario a firm is dead when its job offer collapsed
-    to zero (it sold nothing); the entrant posts its size as its offer and an
-    equal number of offer slots is removed from the surviving firms, leaving
-    the aggregate job offer unchanged. The surviving offers are laid end to
-    end as slots, a uniformly random subset of them is drawn without
-    replacement, and each firm loses the drawn slots that fall in its run.
-    A uniform subset of slots is the multivariate hypergeometric law, so each
-    firm loses ``removed_total * offer / available`` slots on average; this
-    costs one draw per removed slot instead of one per firm.
+    Entrant sizes come from :func:`entrant_sizes` over the replacement
+    interval. In the firms-consume scenario a firm is dead when its size
+    reached zero and the entrant's offer simply joins the next job market. In
+    the workers-only-consume scenario a firm is dead when its job offer
+    collapsed to zero (it sold nothing); the entrant posts its size as its
+    offer and an equal number of offer slots is removed from the surviving
+    firms, leaving the aggregate job offer unchanged. The surviving offers are
+    laid end to end as slots, a uniformly random subset of them is drawn
+    without replacement, and each firm loses the drawn slots that fall in its
+    run. A uniform subset of slots is the multivariate hypergeometric law, so
+    each firm loses ``removed_total * offer / available`` slots on average;
+    this costs one draw per removed slot instead of one per firm.
     """
     cfg = economy.config
     lo, hi = cfg.replacement_low, cfg.replacement_high
@@ -425,7 +425,7 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
         economy.last_replaced = idx
         if idx.size == 0:
             return 0
-        economy.size[idx] = round_array(rng.uniform(lo, hi, idx.size), rng)
+        economy.size[idx] = entrant_sizes(idx.size, lo, hi, rng)
         economy.output[idx] = 0.0
         economy.sold[idx] = 0.0
         return int(idx.size)
@@ -434,8 +434,8 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
     economy.last_replaced = idx
     if idx.size == 0:
         return 0
-    entrant_sizes = round_array(rng.uniform(lo, hi, idx.size), rng)
-    added = int(entrant_sizes.sum())
+    entrants = entrant_sizes(idx.size, lo, hi, rng)
+    added = int(entrants.sum())
     surviving = economy.job_offer  # the dead firms' offers are 0 already
     available = int(surviving.sum())
     removed_total = min(added, available)
@@ -448,5 +448,5 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
         slots = rng.choice(available, removed_total, replace=False)
         owner = np.searchsorted(np.cumsum(surviving), slots, side="right")
         economy.job_offer = economy.job_offer - np.bincount(owner, minlength=surviving.size)
-    economy.job_offer[idx] = entrant_sizes
+    economy.job_offer[idx] = entrants
     return int(idx.size)

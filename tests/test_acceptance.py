@@ -26,6 +26,20 @@ from firmgrowth.model import (Allocation, Economy, GrowthBatch, ModelConfig, Sce
 from firmgrowth.rng import substream
 
 
+# Band of each stochastic criterion's measured quantity (1-6), also read by
+# `scripts/criteria_spread.py`. Bands are closed intervals, except criterion
+# 5's, which are open.
+BANDS = {
+    "criterion_01_tail_alpha": (0.55, 0.85),
+    "criterion_02_model_beta": (0.45, 0.55),
+    "criterion_03_scaled_beta": (0.21, 0.31),
+    "criterion_04_multiplicative_alpha": (0.9, 1.3),
+    "criterion_05_excess_kurtosis": (-0.5, 0.5),
+    "criterion_05_skewness": (-0.3, 0.3),
+    "criterion_06_tent_slope": (-1.3, -0.7),
+}
+
+
 def report(num, name, ok, detail):
     print(f"\ncriterion {num:2d} [{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
@@ -111,42 +125,49 @@ def workforce_scarce_run(heavy_runs):
 def test_criterion_01_size_distribution_exponent(demand_scarce_alphas):
     alphas = [ols.exponent for ols, _ in demand_scarce_alphas]
     median = float(np.median(alphas))
-    report(1, "size-distribution exponent", 0.55 <= median <= 0.85,
+    low, high = BANDS["criterion_01_tail_alpha"]
+    report(1, "size-distribution exponent", low <= median <= high,
            f"median tail alpha {median:.3f} over 5 seeds "
-           f"(each {np.round(alphas, 3).tolist()}), band [0.55, 0.85]")
+           f"(each {np.round(alphas, 3).tolist()}), band [{low}, {high}]")
 
 
 def test_criterion_02_beta_recovery_from_model(workforce_scarce_run):
     beta, _ = workforce_scarce_run
+    low, high = BANDS["criterion_02_model_beta"]
     report(2, "dispersion scaling of the market model",
-           0.45 <= beta.exponent <= 0.55,
+           low <= beta.exponent <= high,
            f"beta {beta.exponent:.3f} +/- {beta.std_error:.3f} from "
-           f"{beta.n_points} decade bins, band [0.45, 0.55]")
+           f"{beta.n_points} decade bins, band [{low}, {high}]")
 
 
 def test_criterion_03_scaled_noise_recovery():
     beta = scaled_noise_beta(seed=1)
-    report(3, "scaled-noise exponent recovery", 0.21 <= beta.exponent <= 0.31,
-           f"beta {beta.exponent:.3f} from a 0.25-scaling run, band [0.21, 0.31]")
+    low, high = BANDS["criterion_03_scaled_beta"]
+    report(3, "scaled-noise exponent recovery", low <= beta.exponent <= high,
+           f"beta {beta.exponent:.3f} from a 0.25-scaling run, band [{low}, {high}]")
 
 
 def test_criterion_04_multiplicative_baseline_tail():
     ols = multiplicative_tail(seed=1)
-    report(4, "multiplicative-noise tail", 0.9 <= ols.exponent <= 1.3,
-           f"tail alpha {ols.exponent:.3f} at sigma 0.2, band [0.9, 1.3]")
+    low, high = BANDS["criterion_04_multiplicative_alpha"]
+    report(4, "multiplicative-noise tail", low <= ols.exponent <= high,
+           f"tail alpha {ols.exponent:.3f} at sigma 0.2, band [{low}, {high}]")
 
 
 def test_criterion_05_additive_baseline_moments():
     kurt, skew = additive_moments(seed=1)
-    report(5, "additive-noise moments", abs(kurt) < 0.5 and abs(skew) < 0.3,
-           f"excess kurtosis {kurt:+.3f} (|.|<0.5), skewness {skew:+.3f} (|.|<0.3)")
+    k_low, k_high = BANDS["criterion_05_excess_kurtosis"]
+    s_low, s_high = BANDS["criterion_05_skewness"]
+    report(5, "additive-noise moments", k_low < kurt < k_high and s_low < skew < s_high,
+           f"excess kurtosis {kurt:+.3f} (|.|<{k_high}), skewness {skew:+.3f} (|.|<{s_high})")
 
 
 def test_criterion_06_tent_shape(workforce_scarce_run):
     _, (slope, se, used) = workforce_scarce_run
-    report(6, "tent-shaped aggregate growth", -1.3 <= slope <= -0.7,
+    low, high = BANDS["criterion_06_tent_slope"]
+    report(6, "tent-shaped aggregate growth", low <= slope <= high,
            f"log-log slope {slope:.3f} +/- {se:.3f} over |g-1| in [0.02, 0.3] "
-           f"({used} bins), band -1 +/- 0.3")
+           f"({used} bins), band {(low + high) / 2:g} +/- {(high - low) / 2:g}")
 
 
 def test_criterion_07_oracle_equivalence():
@@ -221,7 +242,7 @@ def test_criterion_11_binning_robustness():
     g = rng.normal(1.0, np.sqrt(0.1 / n))
     betas = []
     for bins_per_decade in (1.0, 2.0):
-        acc = GrowthAccumulator(min_size=0, bins_per_decade=bins_per_decade)
+        acc = GrowthAccumulator(min_size=1, bins_per_decade=bins_per_decade)
         acc.update(GrowthBatch(n, n * g))
         betas.append(analytics.fit_beta(acc.binned()))
     decade, half = betas

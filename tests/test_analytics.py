@@ -34,7 +34,7 @@ def growth_histogram(before, after, min_size):
 
 
 def bin_by_size(before, after):
-    return fed(GrowthAccumulator(min_size=0), before, after).binned()
+    return fed(GrowthAccumulator(min_size=1), before, after).binned()
 
 
 class TestCcdf:
@@ -273,6 +273,11 @@ class TestAccumulatorStreaming:
         h2 = growth_histogram([20.0, 40.0], [22.0, 36.0], min_size=10)
         assert h1.count == 2
         assert np.array_equal(h1.densities, h2.densities)
+
+    @pytest.mark.parametrize("min_size", [0, 0.5, float("nan")])
+    def test_min_size_below_one_rejected(self, min_size):
+        with pytest.raises(ValueError, match="min_size"):
+            GrowthAccumulator(min_size=min_size)
 
     def test_bin_index_matches_np_histogram(self):
         # rates on the bin edges: every bin is closed on the left, the last

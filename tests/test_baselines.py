@@ -12,6 +12,7 @@ from firmgrowth import (
     BaselineConfig,
     GrowthBatch,
     analytics,
+    cli,
     step_additive,
     step_marsili_sequential,
     step_scaled_beta,
@@ -132,7 +133,7 @@ class TestScaledBeta:
             after = step_scaled_beta(sizes, c, 0.5, rng)
             before_all.append(sizes.astype(float))
             after_all.append(after.astype(float))
-        acc = analytics.GrowthAccumulator(min_size=0)
+        acc = analytics.GrowthAccumulator(min_size=1)
         acc.update(GrowthBatch(np.concatenate(before_all), np.concatenate(after_all)))
         beta = analytics.fit_beta(acc.binned())
         assert abs(beta.exponent - 0.5) < 0.05
@@ -162,23 +163,22 @@ class TestScaledBeta:
 
 class TestMarsiliSequential:
     def test_zero_moves_is_identity(self):
-        sizes, batch = step_marsili_sequential([5, 5, 5], 0, substream(11, 0))
+        sizes = step_marsili_sequential([5, 5, 5], 0, substream(11, 0))
         assert sizes.tolist() == [5, 5, 5]
-        assert np.array_equal(batch.size_before, batch.size_after)
 
     @given(st.lists(st.integers(1, 30), min_size=2, max_size=12),
            st.integers(0, 40), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
     def test_population_conserved(self, sizes, moves, seed):
         total = sum(sizes)
-        out, _ = step_marsili_sequential(sizes, min(moves, total), substream(seed, 0))
+        out = step_marsili_sequential(sizes, min(moves, total), substream(seed, 0))
         assert out.sum() == total
 
     def test_zero_size_city_never_receives_by_choice(self):
         rng = substream(12, 0)
         sizes = np.array([0, 50, 50], dtype=np.int64)
         for _ in range(30):
-            sizes, _ = step_marsili_sequential(sizes, 10, rng)
+            sizes = step_marsili_sequential(sizes, 10, rng)
             assert sizes[0] == 0  # no workers, weight zero, never a destination
 
     def test_emptied_city_is_refilled(self):
@@ -186,7 +186,7 @@ class TestMarsiliSequential:
         sizes = np.array([1, 200], dtype=np.int64)
         seen_refill = False
         for _ in range(50):
-            sizes, _ = step_marsili_sequential(sizes, 5, rng)
+            sizes = step_marsili_sequential(sizes, 5, rng)
             assert sizes.sum() == 201
             assert (sizes >= 1).all()
             seen_refill = seen_refill or sizes[0] != 1
@@ -207,7 +207,7 @@ class TestMarsiliSequential:
         assert sum(law.values()) == pytest.approx(1.0)
         observed = Counter(
             tuple(step_marsili_sequential(city_sizes, moves, substream(19, 0, rep),
-                                          replacement_mean)[0].tolist())
+                                          replacement_mean).tolist())
             for rep in range(reps))
         assert set(observed) <= set(law)
         common = [s for s in law if law[s] * reps >= 5]
@@ -224,10 +224,20 @@ class TestMarsiliSequential:
             step_marsili_sequential([2, 2], 5, substream(14, 0))
 
     def test_growth_records_compare_batch_endpoints(self):
-        before = np.array([30, 30, 40], dtype=np.int64)
-        sizes, batch = step_marsili_sequential(before, 20, substream(15, 0))
-        assert np.array_equal(batch.size_before, before.astype(float))
-        assert np.array_equal(batch.size_after, sizes.astype(float))
+        # The run's stepper records each step's sizes before and after the
+        # whole batch of moves, and steps with the seed's stream of iteration t.
+        cfg = BaselineConfig(n_units=3, n_workers=100, move_fraction=0.2, seed=15,
+                             iterations=3)
+        advance = cli._stepper("marsili", cfg)
+        before = cfg.initial_sizes()
+        for t in range(cfg.iterations):
+            batch, sizes, _, _ = advance(t)
+            expected = step_marsili_sequential(before, 20, substream(15, 0, t),
+                                               cfg.replacement_mean)
+            assert np.array_equal(sizes, expected)
+            assert np.array_equal(batch.size_before, before.astype(float))
+            assert np.array_equal(batch.size_after, sizes.astype(float))
+            before = sizes
 
 
 class TestBaselineConfig:

@@ -186,6 +186,16 @@ class TestRun:
         assert "runtime error: seed 4: sizes must be positive" in capsys.readouterr().err
         assert inline_pool == ([2] if workers == "2" else [])
 
+    @pytest.mark.parametrize("invalid", [dict(seeds=[1, 2**64]), dict(min_size=0.5)])
+    def test_invalid_spec_writes_nothing(self, invalid, tmp_path):
+        # a direct run checks what parsing checks, every seed's config
+        # included, before the first seed runs
+        spec = RunSpec(preset="Custom", overrides=dict(iterations=3),
+                       output_dir=tmp_path / "out", **invalid)
+        with pytest.raises(ConfigError):
+            run(spec)
+        assert not list(tmp_path.iterdir())
+
     def test_snapshot_schema(self, tmp_path):
         spec = RunSpec(output_dir=tmp_path / "out", **SMALL_RUN)
         run(spec)
@@ -327,8 +337,9 @@ class TestMainEntry:
         (tmp_path / "snapshot_t10.csv").write_text("t,firm_id,size,output,sold\n10,0,0,0,0\n")
         assert cli.main(["analyze", "--input", str(tmp_path)]) == 1
         assert "no positive size" in capsys.readouterr().err
-        # a malformed latest snapshot, or one holding a size that is not finite
-        for row in ("10,0,abc,0,0", "10,0", "10,0,inf,0,0", "10,0,nan,0,0"):
+        # a malformed latest snapshot, or one holding a size that is not
+        # finite or is negative
+        for row in ("10,0,abc,0,0", "10,0", "10,0,inf,0,0", "10,0,nan,0,0", "10,0,-5,0,0"):
             (tmp_path / "snapshot_t10.csv").write_text(
                 f"t,firm_id,size,output,sold\n10,1,9,0,0\n{row}\n")
             assert cli.main(["analyze", "--input", str(tmp_path)]) == 1, row

@@ -14,8 +14,6 @@ from firmgrowth import (
     Scenario,
     model,
     replace_extinct,
-    step_scenario_i,
-    step_scenario_ii,
 )
 from firmgrowth.rng import substream
 
@@ -67,11 +65,6 @@ class TestScenarioI:
             economy.step()
             assert economy.size.size == 50
             assert (economy.size >= 1).all()  # extinct firms replaced in-step
-
-    def test_scenario_guard(self):
-        cfg = ModelConfig(n_firms=5, n_workers=50, scenario=Scenario.WORKERS_ONLY_CONSUME)
-        with pytest.raises(ValueError):
-            step_scenario_i(Economy(cfg))
 
 
 def realized_margins(economy):
@@ -156,11 +149,6 @@ class TestScenarioII:
         alive = econ.size > 0
         cap = econ.config.margin + 1.0 / econ.size[alive]
         assert (realized_margins(econ)[alive] <= cap + 1e-12).all()
-
-    def test_scenario_guard(self):
-        cfg = ModelConfig(n_firms=5, n_workers=50)
-        with pytest.raises(ValueError):
-            step_scenario_ii(Economy(cfg))
 
     @pytest.mark.parametrize("wage,price", [(1.0, 1.0), (1.3, 0.9)])
     def test_job_offers_follow_last_sales(self, wage, price, monkeypatch):
