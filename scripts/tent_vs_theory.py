@@ -36,8 +36,7 @@ def main() -> int:
 
     snap = SizeSnapshot.from_values(economy.size)
     window = analytics.default_tail_range(snap.sizes)
-    ols, _ = analytics.fit_power_law_tail(analytics.ccdf(snap), window,
-                                          n_total=len(snap))
+    ols, _ = analytics.fit_power_law_tail(snap, window)
     hist = deviations.histogram()
     centers = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
 

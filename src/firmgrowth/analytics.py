@@ -1,9 +1,9 @@
 """Distribution statistics: CCDF/rank-size curves, growth-rate histograms,
 power-law tail fits and the scaling exponent of growth-rate dispersion.
 
-The size estimators work on plain arrays; the growth accumulators ingest the
-growth batches emitted by the simulators one iteration at a time, so long
-runs never hold their full record stream in memory.
+The size estimators read a :class:`SizeSnapshot`; the growth accumulators
+ingest the growth batches emitted by the simulators one iteration at a time,
+so long runs never hold their full record stream in memory.
 """
 from __future__ import annotations
 
@@ -65,13 +65,17 @@ class FitResult:
     def __post_init__(self):
         if not self.fit_range[0] < self.fit_range[1]:
             raise ValueError("fit_range must be an increasing interval")
-        if self.n_points < 3:
-            raise ValueError("a fit needs at least 3 points")
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least squares line fit; returns (slope, intercept, slope std error)."""
+    """Least squares line fit; returns (slope, intercept, slope std error).
+
+    Every fit in this module runs here, so this is where a fit with fewer
+    than 3 points is rejected.
+    """
     n = x.size
+    if n < 3:
+        raise ValueError(f"a fit needs at least 3 points, got {n}")
     xm, ym = x.mean(), y.mean()
     dx = x - xm
     sxx = float(dx @ dx)
@@ -80,7 +84,7 @@ def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     slope = float(dx @ (y - ym)) / sxx
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
-    se = math.sqrt(float(resid @ resid) / (n - 2) / sxx) if n > 2 else float("nan")
+    se = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
     return slope, intercept, se
 
 
@@ -118,51 +122,33 @@ def default_tail_range(sizes: np.ndarray) -> tuple[float, float]:
     return (low, 10.0 * low)
 
 
-def fit_power_law_tail(ccdf_points, fit_range: tuple[float, float],
-                       n_total: int) -> tuple[FitResult, FitResult]:
-    """Tail exponent of a CCDF by two routes: log-log OLS and a Hill-type MLE.
+def fit_power_law_tail(snapshot: SizeSnapshot, fit_range: tuple[float, float]
+                       ) -> tuple[FitResult, FitResult]:
+    """Tail exponent of the size distribution by two routes: log-log OLS of
+    the CCDF and a Hill-type MLE of the sizes.
 
-    OLS regresses log P on log size over ``fit_range``; the reported exponent
-    is minus the slope. Its ``std_error`` is the regression's residual
-    standard error of the slope. CCDF points are cumulative, hence strongly
-    correlated, so it is not a sampling error of the exponent. The MLE
-    treats every observation above ``fit_range[0]`` as tail data:
-    alpha = 1 / mean(log(x / x_min)), weighted by the point masses recovered
-    from the CCDF, with standard error alpha / sqrt(n_tail). ``n_total`` is
-    the population size behind the CCDF, so n_tail counts firms, not
-    distinct sizes.
+    OLS regresses log P on log size over the CCDF rows inside ``fit_range``;
+    the reported exponent is minus the slope. Its ``std_error`` is the
+    regression's residual standard error of the slope. CCDF points are
+    cumulative, hence strongly correlated, so it is not a sampling error of
+    the exponent. The MLE treats every firm at or above ``fit_range[0]`` as
+    tail data: alpha = 1 / mean(log(n / x_min)), with standard error
+    alpha / sqrt(n_tail), where n_tail counts firms, ties included. The OLS
+    window's 3 distinct sizes leave the MLE at least 3 firms, 2 of them
+    above ``x_min``.
     """
-    pts = np.asarray(ccdf_points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("ccdf points must be rows of (size, probability)")
     low, high = float(fit_range[0]), float(fit_range[1])
     if not 0 < low < high:
         raise ValueError("fit_range must be positive and increasing")
-    x, prob = pts[:, 0], pts[:, 1]
-    if x.min() <= 0:
-        raise ValueError("sizes must be positive")
-
-    window = (x >= low) & (x <= high) & (prob > 0)
-    if window.sum() < 3:
-        raise ValueError("fewer than 3 CCDF points inside the fit range")
+    x, prob = ccdf(snapshot).T
+    window = (x >= low) & (x <= high)
     slope, _, se = _ols(np.log(x[window]), np.log(prob[window]))
     ols = FitResult(-slope, se, (low, high), FitMethod.LOG_LOG_OLS, int(window.sum()))
 
-    tail = x >= low
-    if tail.sum() < 3:
-        raise ValueError("fewer than 3 CCDF points above the tail cutoff")
-    x_tail, p_tail = x[tail], prob[tail]
-    mass = np.empty_like(p_tail)
-    mass[:-1] = p_tail[:-1] - p_tail[1:]
-    mass[-1] = p_tail[-1]
-    total_mass = mass.sum()
-    mean_log = float(mass @ np.log(x_tail / low)) / total_mass
-    if mean_log <= 0:
-        raise ValueError("tail has no spread above the cutoff")
-    alpha = 1.0 / mean_log
-    n_tail = int(round(total_mass * n_total))
-    mle = FitResult(alpha, alpha / math.sqrt(n_tail),
-                    (low, float(x_tail.max())), FitMethod.DISCRETE_MLE, n_tail)
+    tail = snapshot.sizes[snapshot.sizes >= low]
+    alpha = 1.0 / float(np.mean(np.log(tail / low)))
+    mle = FitResult(alpha, alpha / math.sqrt(tail.size),
+                    (low, float(tail.max())), FitMethod.DISCRETE_MLE, tail.size)
     return ols, mle
 
 
@@ -221,6 +207,8 @@ class GrowthAccumulator:
     def __init__(self, min_size: float, bins_per_decade: float = 1.0):
         if not min_size >= 1:
             raise ValueError("min_size must be at least 1")
+        if not 0 < bins_per_decade < math.inf:
+            raise ValueError("bins_per_decade must be a positive finite number")
         self.min_size = min_size
         self.bins_per_decade = float(bins_per_decade)
         self.overflow = 0
@@ -296,8 +284,6 @@ def fit_beta(binned: Sequence[SizeBinStats]) -> FitResult:
     Log-log OLS of the per-bin standard deviation against the bin's geometric
     mean size; beta is minus the slope.
     """
-    if len(binned) < 3:
-        raise ValueError("need at least 3 size bins to fit beta")
     x = np.log([b.geo_mean_size for b in binned])
     y = np.log([b.sigma_g for b in binned])
     slope, _, se = _ols(x, y)
@@ -349,7 +335,5 @@ def central_tent_slope(hist: Histogram) -> tuple[float, float, int]:
     """
     dev = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
     sel = (dev >= _TENT_WINDOW[0]) & (dev <= _TENT_WINDOW[1]) & (hist.densities > 0)
-    if sel.sum() < 3:
-        raise ValueError("fewer than 3 populated bins inside the slope window")
     slope, _, se = _ols(np.log(dev[sel]), np.log(hist.densities[sel]))
     return slope, se, int(sel.sum())

@@ -58,6 +58,12 @@ class BaselineConfig:
         return np.full(self.n_units, self.n_workers / self.n_units, dtype=float)
 
 
+def _entrants(count: int, replacement_mean: float, rng: np.random.Generator) -> np.ndarray:
+    """Entrant sizes of a baseline: :func:`~firmgrowth.model.entrant_sizes`
+    on ``replacement_mean`` +/- 1/2."""
+    return entrant_sizes(count, replacement_mean - 0.5, replacement_mean + 0.5, rng)
+
+
 def step_additive(sizes, sigma: float, rng: np.random.Generator,
                   replacement_mean: float = 1.5) -> np.ndarray:
     """One step of purely additive Gaussian noise at constant global size.
@@ -107,8 +113,7 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     out = round_array(grown, rng)
     dead = np.flatnonzero(out == 0)
     if dead.size:
-        out[dead] = entrant_sizes(dead.size, replacement_mean - 0.5,
-                                  replacement_mean + 0.5, rng)
+        out[dead] = _entrants(dead.size, replacement_mean, rng)
     return out
 
 
@@ -161,8 +166,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         size[origin] -= 1
         size[dest] += 1
         if not size[origin]:
-            entrant = entrant_sizes(1, replacement_mean - 0.5, replacement_mean + 0.5, rng)
-            entrant = min(int(entrant[0]), total - 1)
+            entrant = min(int(_entrants(1, replacement_mean, rng)[0]), total - 1)
             donors = rng.integers(total, size=entrant)
             for d, home_d in zip(donors.tolist(), home[donors].tolist()):
                 size[moved.get(d, home_d)] -= 1

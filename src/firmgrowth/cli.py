@@ -225,12 +225,11 @@ def _snapshot_times(spec: RunSpec, cfg) -> list[int]:
 def _write_size_analytics(outdir: Path, snap: analytics.SizeSnapshot):
     """Write ``ccdf.csv`` and, when the tail window holds enough firms,
     ``fit.csv``. Returns the written paths and the tail fits (None if skipped)."""
-    points = analytics.ccdf(snap)
     files = [outdir / "ccdf.csv"]
-    io.write_ccdf(files[0], points)
+    io.write_ccdf(files[0], analytics.ccdf(snap))
     try:
         window = analytics.default_tail_range(snap.sizes)
-        fits = analytics.fit_power_law_tail(points, window, n_total=len(snap))
+        fits = analytics.fit_power_law_tail(snap, window)
     except ValueError:
         return files, None  # too few firms in the tail window, nothing to report
     files.append(outdir / "fit.csv")
@@ -251,10 +250,13 @@ def _write_analytics(outdir: Path, snap: analytics.SizeSnapshot,
         path = outdir / "binned_sigma.csv"
         io.write_binned_sigma(path, binned)
         files.append(path)
-    if len(binned) >= 3:
-        path = outdir / "beta_fit.csv"
-        io.write_fits(path, [analytics.fit_beta(binned)])
-        files.append(path)
+    try:
+        beta = analytics.fit_beta(binned)
+    except ValueError:
+        return files  # fewer than 3 populated size bins, nothing to fit
+    path = outdir / "beta_fit.csv"
+    io.write_fits(path, [beta])
+    files.append(path)
     return files
 
 

@@ -58,15 +58,11 @@ def run_preset(preset, seed, *accumulators):
     return SizeSnapshot.from_values(sizes)
 
 
-def tail_fits(snap):
-    """OLS and MLE tail fits over the default one-decade window."""
-    window = analytics.default_tail_range(snap.sizes)
-    return analytics.fit_power_law_tail(analytics.ccdf(snap), window, n_total=len(snap))
-
-
 def demand_scarce_fit(seed):
-    """OLS and MLE tail fits of one demand-scarce preset run."""
-    return tail_fits(run_preset("ScenarioII", seed))
+    """OLS and MLE tail fits of one demand-scarce preset run over the
+    default one-decade window."""
+    snap = run_preset("ScenarioII", seed)
+    return analytics.fit_power_law_tail(snap, analytics.default_tail_range(snap.sizes))
 
 
 def workforce_scarce_measures(seed):
@@ -88,7 +84,8 @@ def scaled_noise_beta(seed):
 
 def multiplicative_tail(seed):
     """OLS tail fit of one multiplicative-noise preset run (criterion 4)."""
-    return tail_fits(run_preset("Multiplicative", seed))[0]
+    snap = run_preset("Multiplicative", seed)
+    return analytics.fit_power_law_tail(snap, analytics.default_tail_range(snap.sizes))[0]
 
 
 def additive_moments(seed):

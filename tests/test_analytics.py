@@ -65,32 +65,31 @@ class TestCcdf:
 
 
 class TestTailFits:
-    def test_exact_power_law_ols(self):
-        x = np.arange(1, 101, dtype=float)
-        pts = np.column_stack([x, 1.0 / x])
-        ols, _ = fit_power_law_tail(pts, (1.0, 100.0), n_total=100)
-        assert abs(ols.exponent - 1.0) < 1e-6
+    def test_mle_counts_firms_with_ties(self):
+        # 2**(9 - j) firms at size 2**j for j = 0..9 and one at 1024: 1,024
+        # firms with P(n >= 2**j) = 2**-j exactly.
+        sizes = [2.0**j for j in range(10) for _ in range(2 ** (9 - j))] + [1024.0]
+        ols, mle = fit_power_law_tail(SizeSnapshot.from_values(sizes), (1.0, 1024.0))
         assert ols.method is FitMethod.LOG_LOG_OLS
-        assert ols.n_points == 100
+        assert ols.exponent == pytest.approx(1.0, abs=1e-12)
+        assert ols.n_points == 11
+        assert mle.method is FitMethod.DISCRETE_MLE
+        assert mle.n_points == 1024
+        # sum of j * 2**(9 - j) over j = 0..9 is 1013; the firm at 1024 adds 10
+        assert mle.exponent == pytest.approx(1024 / (1023 * math.log(2)), rel=1e-12)
+        assert mle.fit_range == (1.0, 1024.0)
 
     def test_pareto_mle_recovers_alpha(self):
         rng = np.random.default_rng(42)
         for alpha, tol in [(0.7, 0.01), (1.0, 0.015)]:
             samples = (1.0 + rng.pareto(alpha, 100_000))
-            pts = ccdf(SizeSnapshot.from_values(samples))
-            _, mle = fit_power_law_tail(pts, (1.0, 10.0), n_total=samples.size)
+            _, mle = fit_power_law_tail(SizeSnapshot.from_values(samples), (1.0, 10.0))
             assert abs(mle.exponent - alpha) < tol
             assert mle.std_error == pytest.approx(mle.exponent / math.sqrt(mle.n_points))
 
     def test_too_few_points_rejected(self):
-        pts = np.column_stack([[1.0, 2.0], [1.0, 0.5]])
-        with pytest.raises(ValueError):
-            fit_power_law_tail(pts, (0.5, 3.0), n_total=2)
-
-    def test_nonpositive_sizes_rejected(self):
-        pts = np.array([[0.0, 1.0], [1.0, 0.5], [2.0, 0.2]])
-        with pytest.raises(ValueError):
-            fit_power_law_tail(pts, (0.5, 3.0), n_total=5)
+        with pytest.raises(ValueError, match="3 points"):
+            fit_power_law_tail(SizeSnapshot.from_values([1.0, 2.0]), (0.5, 3.0))
 
     def test_default_window_sits_above_discreteness_floor(self):
         sizes = np.concatenate([np.full(500, 3.0), np.geomspace(10, 5000, 200)])
@@ -278,6 +277,11 @@ class TestAccumulatorStreaming:
     def test_min_size_below_one_rejected(self, min_size):
         with pytest.raises(ValueError, match="min_size"):
             GrowthAccumulator(min_size=min_size)
+
+    @pytest.mark.parametrize("bins_per_decade", [0, -1, float("nan"), float("inf")])
+    def test_bins_per_decade_must_be_positive_and_finite(self, bins_per_decade):
+        with pytest.raises(ValueError, match="bins_per_decade"):
+            GrowthAccumulator(min_size=1, bins_per_decade=bins_per_decade)
 
     def test_bin_index_matches_np_histogram(self):
         # rates on the bin edges: every bin is closed on the left, the last
