@@ -35,7 +35,7 @@ def main() -> int:
         deviations.update(economy.step())
 
     snap = SizeSnapshot.from_values(economy.size)
-    window = analytics.default_tail_range(snap.sizes)
+    window = analytics.default_tail_range(snap)
     ols, _ = analytics.fit_power_law_tail(snap, window)
     hist = deviations.histogram()
     centers = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])

@@ -104,7 +104,7 @@ def ccdf(snapshot: SizeSnapshot) -> np.ndarray:
 _TAIL_FLOOR = 10.0
 
 
-def default_tail_range(sizes: np.ndarray) -> tuple[float, float]:
+def default_tail_range(snapshot: SizeSnapshot) -> tuple[float, float]:
     """Fit window for tail exponents: one decade starting just above the
     small-size discreteness threshold.
 
@@ -114,11 +114,9 @@ def default_tail_range(sizes: np.ndarray) -> tuple[float, float]:
     region. The window therefore starts at ``max(_TAIL_FLOOR, 25th
     percentile)`` and spans one decade.
     """
-    arr = np.asarray(sizes, dtype=float)
-    arr = arr[arr > 0]
-    if arr.size < 8:
+    if len(snapshot) < 8:
         raise ValueError("too few sizes to place a tail window")
-    low = max(_TAIL_FLOOR, float(np.percentile(arr, 25.0)))
+    low = max(_TAIL_FLOOR, float(np.percentile(snapshot.sizes, 25.0)))
     return (low, 10.0 * low)
 
 

@@ -205,8 +205,9 @@ def materialize(spec: RunSpec, seed: int):
             cfg = BaselineConfig(**merged)
             if preset.kind == "marsili" and cfg.n_workers < 2:
                 raise ValueError("n_workers must be at least 2 for a worker to move")
-            if preset.kind == "scaled" and math.isinf(cfg.sigma * cfg.sigma):
-                raise ValueError("sigma**2, the growth variance at size 1, overflows a float")
+            if preset.kind == "scaled" and not 0 < cfg.sigma * cfg.sigma < math.inf:
+                raise ValueError("sigma**2, the growth variance at size 1, "
+                                 "overflows or underflows a float")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     times = _snapshot_times(spec, cfg)
@@ -228,7 +229,7 @@ def _write_size_analytics(outdir: Path, snap: analytics.SizeSnapshot):
     files = [outdir / "ccdf.csv"]
     io.write_ccdf(files[0], analytics.ccdf(snap))
     try:
-        window = analytics.default_tail_range(snap.sizes)
+        window = analytics.default_tail_range(snap)
         fits = analytics.fit_power_law_tail(snap, window)
     except ValueError:
         return files, None  # too few firms in the tail window, nothing to report
@@ -260,33 +261,33 @@ def _write_analytics(outdir: Path, snap: analytics.SizeSnapshot,
     return files
 
 
-def _stepper(kind: str, cfg):
-    """Step function of one simulator: ``advance(t)`` runs iteration t and
-    returns (growth batch, sizes, outputs, solds) after it."""
-    if kind == "model":
-        economy = Economy(cfg)
+class _NoiseProcess:
+    """A reference noise process with ``Economy``'s stepping interface. It
+    has no production cycle: ``output`` and ``sold`` are zeros."""
 
-        def advance(t):
-            return economy.step(), economy.size, economy.output, economy.sold
-        return advance
+    def __init__(self, kind: str, cfg: BaselineConfig):
+        self.kind, self.config, self.time = kind, cfg, 0
+        self.size = cfg.initial_sizes(integer=kind != "additive")
+        self.output = self.sold = np.zeros(cfg.n_units)
 
-    # Reference processes have no production cycle: outputs and solds are 0.
-    zeros = np.zeros(cfg.n_units)
-    sizes = cfg.initial_sizes(integer=kind != "additive")
-    n_moves = max(1, round(cfg.move_fraction * cfg.n_workers))
-
-    def advance(t):
-        nonlocal sizes
-        rng = substream(cfg.seed, 0, t)
-        before = sizes
-        if kind == "marsili":
-            sizes = step_marsili_sequential(sizes, n_moves, rng, cfg.replacement_mean)
-        elif kind == "additive":
-            sizes = step_additive(sizes, cfg.sigma, rng, cfg.replacement_mean)
+    def step(self) -> GrowthBatch:
+        cfg, before = self.config, self.size
+        rng, mean = substream(cfg.seed, 0, self.time), cfg.replacement_mean
+        if self.kind == "marsili":
+            moves = max(1, round(cfg.move_fraction * cfg.n_workers))
+            self.size = step_marsili_sequential(before, moves, rng, mean)
+        elif self.kind == "additive":
+            self.size = step_additive(before, cfg.sigma, rng, mean)
         else:
-            sizes = step_scaled_beta(sizes, cfg.sigma ** 2, cfg.beta, rng, cfg.replacement_mean)
-        return GrowthBatch(before, sizes), sizes, zeros, zeros
-    return advance
+            self.size = step_scaled_beta(before, cfg.sigma ** 2, cfg.beta, rng, mean)
+        self.time += 1
+        return GrowthBatch(before, self.size)
+
+
+def _simulator(kind: str, cfg):
+    """The simulator of one materialized config. Each has ``size``,
+    ``output``, ``sold``, ``time`` and ``step() -> GrowthBatch``."""
+    return Economy(cfg) if kind == "model" else _NoiseProcess(kind, cfg)
 
 
 def _seed_job(spec: RunSpec, kind: str, cfg) -> list[tuple[str, str]]:
@@ -294,16 +295,15 @@ def _seed_job(spec: RunSpec, kind: str, cfg) -> list[tuple[str, str]]:
     times = set(_snapshot_times(spec, cfg))
     seed_dir = spec.output_dir / f"seed_{cfg.seed:05d}"
     seed_dir.mkdir(parents=True, exist_ok=True)
-    advance = _stepper(kind, cfg)
+    sim = _simulator(kind, cfg)
     acc = analytics.GrowthAccumulator(min_size=spec.min_size)
     paths: list[Path] = []
-    for t in range(cfg.iterations):
-        batch, sizes, outputs, solds = advance(t)
-        acc.update(batch)
-        if t + 1 in times:
-            paths.append(seed_dir / f"snapshot_t{t + 1}.csv")
-            io.write_snapshot(paths[-1], t + 1, sizes, outputs, solds)
-    snap = analytics.SizeSnapshot.from_values(sizes)
+    for t in range(1, cfg.iterations + 1):
+        acc.update(sim.step())
+        if t in times:
+            paths.append(seed_dir / f"snapshot_t{t}.csv")
+            io.write_snapshot(paths[-1], t, sim.size, sim.output, sim.sold)
+    snap = analytics.SizeSnapshot.from_values(sim.size)
     paths += _write_analytics(seed_dir, snap, acc)
     return [(p.relative_to(spec.output_dir).as_posix(), io.sha256_file(p))
             for p in sorted(paths)]
@@ -321,6 +321,8 @@ def run(spec: RunSpec) -> int:
     """Simulate every seed of the spec and write the output manifest."""
     configs = _seed_configs(spec)  # an invalid spec fails before anything is written
     spec.output_dir.mkdir(parents=True, exist_ok=True)
+    # An earlier run's manifest would list files this run overwrites.
+    (spec.output_dir / "manifest.csv").unlink(missing_ok=True)
     results: dict[int, list[tuple[str, str]]] = {}
     # A forked pool starts all its workers at the first submit: no more than seeds.
     workers = min(spec.workers, len(spec.seeds))

@@ -358,8 +358,7 @@ def _step_workers_only_consume(economy: Economy) -> GrowthBatch:
     if cfg.rounding is Rounding.PER_UNIT:
         # Each previously sold good respawns as one or two goods to produce.
         plan_rng = substream(cfg.seed, OFFER_STREAM, t)
-        prev_units = np.rint(sold_before).astype(np.int64)
-        planned = (prev_units + plan_rng.binomial(prev_units, mu)).astype(float)
+        planned = per_unit_offer_array(np.rint(sold_before), mu, plan_rng)
         economy.job_offer = round_array(required_workers(planned, mu, w, p), plan_rng)
     else:
         workers = sold_before * (p / w)

@@ -4,11 +4,12 @@
 spawn_key=key)))``. The run loop asks for one stream per stage and
 iteration, with the iteration as the key's last part, and hashing each
 ``SeedSequence`` on its own costs more than drawing from the stream. So
-once a ``(seed, head)`` prefix of a key comes back, the seeding words of a
-block of consecutive last parts are computed together: numpy's
+the first call of a ``(seed, head)`` prefix of a key computes the seeding
+words of a block of consecutive last parts together: numpy's
 ``SeedSequence`` hash is restated below over uint32 arrays, and each
 generator gets its words from a precomputed row. The words, hence every
-draw, are numpy's own.
+draw, are numpy's own. A key that no block holds (none, or a last part
+wider than one uint32 word) is seeded by ``SeedSequence`` itself.
 """
 from __future__ import annotations
 
@@ -27,11 +28,10 @@ _POOL = 4
 
 _BLOCK = 256      # last key parts seeded together; 8 KiB of words
 _MAX_HEADS = 64   # (seed, head) prefixes remembered, oldest dropped first
-# Prefix -> (first last part, words) of its block; None after its first call.
-# Every entry is a pure function of its key: what the cache holds changes
-# what a call costs, never the stream it returns.
-_blocks: dict[tuple[int, ...], tuple[int, np.ndarray] | None] = {}
-_UNSEEN = object()
+# Prefix -> (first last part, words) of its block. Every entry is a pure
+# function of its key: what the cache holds changes what a call costs, never
+# the stream it returns.
+_blocks: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
 
 
 def _int_words(n: int) -> list[int]:
@@ -138,19 +138,16 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     """
     seed = int(seed)
     key = tuple(map(int, key))
-    head = (seed, *key[:-1]) if key and 0 <= key[-1] <= _MASK else None
-    block = _blocks.get(head, _UNSEEN)
-    if block is not _UNSEEN:
-        t = key[-1]
-        if block is None or not 0 <= t - block[0] < _BLOCK:
-            block = _blocks[head] = _block(seed, key[:-1], t - t % _BLOCK)
-        start, words = block
-        return np.random.Generator(np.random.PCG64(_seeded(words[t - start])))
-    # A one-off call pays for no block; SeedSequence also rejects a negative
-    # seed or key part here, before its prefix is remembered.
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
-    if head is not None:
-        if len(_blocks) >= _MAX_HEADS:
-            _blocks.pop(next(iter(_blocks)), None)
-        _blocks[head] = None
-    return np.random.Generator(np.random.PCG64(ss))
+    if not key or key[-1] > _MASK or min(seed, *key) < 0:
+        # SeedSequence rejects a negative seed or key part before any block
+        # is remembered.
+        ss = np.random.SeedSequence(seed, spawn_key=key)
+        return np.random.Generator(np.random.PCG64(ss))
+    head, t = (seed, *key[:-1]), key[-1]
+    block = _blocks.get(head)
+    if block is None or not 0 <= t - block[0] < _BLOCK:
+        if block is None and len(_blocks) >= _MAX_HEADS:
+            _blocks.pop(next(iter(_blocks)))
+        block = _blocks[head] = _block(seed, key[:-1], t - t % _BLOCK)
+    start, words = block
+    return np.random.Generator(np.random.PCG64(_seeded(words[t - start])))

@@ -8,7 +8,7 @@ whole module finishes in a couple of minutes on a laptop. Run with
 
 The measurement of each stochastic criterion (1-6) is a function of the seed,
 so that `scripts/criteria_spread.py` can rerun it on other seeds, and steps
-its preset with `cli._stepper`, the stepper that `firmgrowth run` uses.
+its preset with `cli._simulator`, the simulator that `firmgrowth run` steps.
 """
 import concurrent.futures
 import math
@@ -46,23 +46,22 @@ def report(num, name, ok, detail):
 
 
 def run_preset(preset, seed, *accumulators):
-    """Step one seed of a preset at its calibrated size through the CLI's
-    stepper, feeding every growth batch to the accumulators; returns the
-    final size snapshot."""
-    kind, cfg = cli.materialize(RunSpec(preset=preset, seeds=[seed]), seed)
-    advance = cli._stepper(kind, cfg)
-    for t in range(cfg.iterations):
-        batch, sizes, _, _ = advance(t)
+    """Step the CLI's simulator of one seed of a preset at its calibrated
+    size, feeding every growth batch to the accumulators; returns the final
+    size snapshot."""
+    sim = cli._simulator(*cli.materialize(RunSpec(preset=preset, seeds=[seed]), seed))
+    for _ in range(sim.config.iterations):
+        batch = sim.step()
         for acc in accumulators:
             acc.update(batch)
-    return SizeSnapshot.from_values(sizes)
+    return SizeSnapshot.from_values(sim.size)
 
 
 def demand_scarce_fit(seed):
     """OLS and MLE tail fits of one demand-scarce preset run over the
     default one-decade window."""
     snap = run_preset("ScenarioII", seed)
-    return analytics.fit_power_law_tail(snap, analytics.default_tail_range(snap.sizes))
+    return analytics.fit_power_law_tail(snap, analytics.default_tail_range(snap))
 
 
 def workforce_scarce_measures(seed):
@@ -85,7 +84,7 @@ def scaled_noise_beta(seed):
 def multiplicative_tail(seed):
     """OLS tail fit of one multiplicative-noise preset run (criterion 4)."""
     snap = run_preset("Multiplicative", seed)
-    return analytics.fit_power_law_tail(snap, analytics.default_tail_range(snap.sizes))[0]
+    return analytics.fit_power_law_tail(snap, analytics.default_tail_range(snap))[0]
 
 
 def additive_moments(seed):

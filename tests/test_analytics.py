@@ -93,13 +93,13 @@ class TestTailFits:
 
     def test_default_window_sits_above_discreteness_floor(self):
         sizes = np.concatenate([np.full(500, 3.0), np.geomspace(10, 5000, 200)])
-        low, high = default_tail_range(sizes)
+        low, high = default_tail_range(SizeSnapshot.from_values(sizes))
         assert low >= 10.0
         assert high == pytest.approx(10 * low)
 
     def test_default_window_follows_large_populations(self):
         sizes = np.geomspace(300, 90_000, 500)
-        low, high = default_tail_range(sizes)
+        low, high = default_tail_range(SizeSnapshot.from_values(sizes))
         assert low == pytest.approx(np.percentile(sizes, 25))
 
 

@@ -224,20 +224,21 @@ class TestMarsiliSequential:
             step_marsili_sequential([2, 2], 5, substream(14, 0))
 
     def test_growth_records_compare_batch_endpoints(self):
-        # The run's stepper records each step's sizes before and after the
+        # The run's simulator records each step's sizes before and after the
         # whole batch of moves, and steps with the seed's stream of iteration t.
         cfg = BaselineConfig(n_units=3, n_workers=100, move_fraction=0.2, seed=15,
                              iterations=3)
-        advance = cli._stepper("marsili", cfg)
+        sim = cli._simulator("marsili", cfg)
         before = cfg.initial_sizes()
         for t in range(cfg.iterations):
-            batch, sizes, _, _ = advance(t)
+            assert sim.time == t
+            batch = sim.step()
             expected = step_marsili_sequential(before, 20, substream(15, 0, t),
                                                cfg.replacement_mean)
-            assert np.array_equal(sizes, expected)
+            assert np.array_equal(sim.size, expected)
             assert np.array_equal(batch.size_before, before.astype(float))
-            assert np.array_equal(batch.size_after, sizes.astype(float))
-            before = sizes
+            assert np.array_equal(batch.size_after, expected.astype(float))
+            before = expected
 
 
 class TestBaselineConfig:

@@ -1,13 +1,20 @@
 """Config parsing, run orchestration, CSV outputs and exit codes."""
+import contextlib
+import io
+import tempfile
+import typing
 from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from firmgrowth import cli
+from firmgrowth.baselines import BaselineConfig
 from firmgrowth.cli import ConfigError, RunSpec, materialize, parse_config, run
-from firmgrowth.model import Allocation, Rounding, Scenario
+from firmgrowth.model import Allocation, ModelConfig, Rounding, Scenario
 
 
 def read_bytes_tree(root: Path) -> dict[str, bytes]:
@@ -41,6 +48,11 @@ class TestParseConfig:
     def test_bad_value_names_line(self):
         with pytest.raises(ConfigError, match="line 1.*'n_firms'"):
             parse_config("n_firms = ten\n")
+
+    @pytest.mark.parametrize("line", ["margin 0.1", "margin ="])
+    def test_malformed_line_names_line(self, line):
+        with pytest.raises(ConfigError, match=f"line 2: expected 'key = value', got '{line}'"):
+            parse_config(f"n_firms = 10\n{line}\n")
 
     def test_comments_and_blanks_ignored(self):
         spec = parse_config("\n# setup\nmargin = 0.2  # inline\n\nseed = 9\n")
@@ -168,18 +180,14 @@ class TestRun:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_runtime_error_names_failing_seed(self, workers, tmp_path, inline_pool,
                                               monkeypatch, capsys):
-        stepper = cli._stepper
+        step = cli.Economy.step
 
-        def failing_stepper(kind, cfg):
-            advance = stepper(kind, cfg)
+        def failing_step(economy):
+            if economy.config.seed == 4 and economy.time == 5:
+                raise ValueError("sizes must be positive")
+            return step(economy)
 
-            def step(t):
-                if cfg.seed == 4 and t == 5:
-                    raise ValueError("sizes must be positive")
-                return advance(t)
-            return step
-
-        monkeypatch.setattr(cli, "_stepper", failing_stepper)
+        monkeypatch.setattr(cli.Economy, "step", failing_step)
         assert cli.main(["run", "--preset", "Custom", "--n-firms", "15", "--n-workers", "300",
                          "--iterations", "10", "--seeds", "3,4", "--workers", workers,
                          "-o", str(tmp_path)]) == 2
@@ -252,52 +260,53 @@ class TestMainEntry:
     def test_bad_flag_exit_code(self, capsys):
         assert cli.main(["run", "--not-a-flag", "1"]) == 1
 
-    @pytest.mark.parametrize("preset", ["Custom", "Additive"])
-    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    def test_out_of_range_seed_is_config_error(self, preset, seed, tmp_path, capsys):
-        assert cli.main(["run", "--preset", preset, "--seed", seed, "-o", str(tmp_path)]) == 1
-        assert "seed" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())  # nothing written
-
-    @pytest.mark.parametrize("flags", [
-        ["--wage", "nan"], ["--min-size", "nan"], ["--replacement-low", "nan"],
-        ["--margin", "inf"], ["--price=-inf"],
-    ])
-    def test_non_finite_float_is_config_error(self, flags, tmp_path, capsys):
-        assert cli.main(["run", "--preset", "Custom", *flags, "-o", str(tmp_path)]) == 1
-        assert "not a finite number" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_one_worker_marsili_is_config_error(self, tmp_path, capsys):
-        assert cli.main(["run", "--preset", "MarsiliSequential", "--n-units", "1",
-                         "--n-workers", "1", "--iterations", "1", "-o", str(tmp_path)]) == 1
-        assert "n_workers" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
-    def test_beta_outside_scaled_step_domain_is_config_error(self, tmp_path, capsys):
-        assert cli.main(["run", "--preset", "ScaledBeta", "--beta", "0.7",
-                         "--iterations", "2", "-o", str(tmp_path)]) == 1
-        assert "beta must lie in [0, 0.5]" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
-
+    # (flags, message): each is a config error that writes nothing.
     @pytest.mark.parametrize("flags,message", [
-        ("--preset Custom --margin 1e300", "2**53"),
-        ("--preset ScenarioII --n-firms 50 --n-workers 2000 --price 1e-300", "2**53"),
+        ("--preset Custom --seed -1", "seed -1 does not fit"),
+        (f"--preset Custom --seed {2**64}", "does not fit an unsigned 64-bit"),
+        ("--preset Additive --seed -1", "seed -1 does not fit"),
+        (f"--preset Additive --seed {2**64}", "does not fit an unsigned 64-bit"),
+        ("--preset Custom --seeds 1,2,1", "distinct"),
+        ("--preset Custom --wage nan", "not a finite number"),
+        ("--preset Custom --min-size nan", "not a finite number"),
+        ("--preset Custom --replacement-low nan", "not a finite number"),
+        ("--preset Custom --margin inf", "not a finite number"),
+        ("--preset Custom --price=-inf", "not a finite number"),
+        ("--preset Custom --rounding Banana", "bad value for 'rounding'"),
+        ("--preset Custom --workers 0", "workers must be at least 1"),
+        ("--preset Custom --snapshot-times 5,3", "ascending positive"),
+        ("--preset Custom --snapshot-times 0,5", "ascending positive"),
+        ("--preset MarsiliSequential --n-units 1 --n-workers 1 --replacement-mean 1 "
+         "--iterations 1", "n_workers must be at least 2"),
+        ("--preset ScaledBeta --beta 0.7 --iterations 2", "beta must lie in [0, 0.5]"),
+        ("--preset Custom --margin 1e300 --iterations 2", "2**53"),
+        ("--preset ScenarioII --n-firms 50 --n-workers 2000 --price 1e-300 --iterations 2",
+         "2**53"),
         ("--preset Custom --n-firms 50 --n-workers 60 --replacement-low 1e30 "
-         "--replacement-high 1e30", "replacement_high must be at most n_workers"),
-        ("--preset ScaledBeta --n-units 50 --n-workers 60 --replacement-mean 1e30",
-         "replacement_mean must be at most n_workers"),
-        ("--preset MarsiliSequential --n-units 50 --n-workers 60 --replacement-mean 1e30",
-         "replacement_mean must be at most n_workers"),
-        ("--preset Custom --n-firms 2 --n-workers 1000000000", "10**9"),
-        ("--preset Multiplicative --n-units 50 --n-workers 5000 --sigma 1e300",
+         "--replacement-high 1e30 --iterations 2", "replacement_high must be at most n_workers"),
+        ("--preset ScaledBeta --n-units 50 --n-workers 60 --replacement-mean 1e30 "
+         "--iterations 2", "replacement_mean must be at most n_workers"),
+        ("--preset MarsiliSequential --n-units 50 --n-workers 60 --replacement-mean 1e30 "
+         "--iterations 2", "replacement_mean must be at most n_workers"),
+        ("--preset Custom --n-firms 2 --n-workers 1000000000 --iterations 2", "10**9"),
+        ("--preset Multiplicative --n-units 50 --n-workers 5000 --sigma 1e300 --iterations 2",
          "sigma**2"),
-        ("--preset ScaledBeta --n-units 50 --n-workers 5000 --sigma 1e300", "sigma**2"),
-    ], ids=["margin", "price", "replacement-high", "scaled-replacement-mean",
-            "marsili-replacement-mean", "sampler-limit", "multiplicative-sigma",
-            "scaled-sigma"])
-    def test_overflowing_parameter_is_config_error(self, flags, message, tmp_path, capsys):
-        assert cli.main(["run", *flags.split(), "--iterations", "2", "-o", str(tmp_path)]) == 1
+        ("--preset ScaledBeta --n-units 50 --n-workers 5000 --sigma 1e300 --iterations 2",
+         "sigma**2"),
+        ("--preset Multiplicative --n-units 20 --n-workers 2000 --sigma 1e-170 --iterations 2",
+         "sigma**2"),
+        ("--preset ScaledBeta --n-units 20 --n-workers 2000 --sigma 1e-170 --iterations 2",
+         "sigma**2"),
+    ], ids=["custom-seed-negative", "custom-seed-wide", "additive-seed-negative",
+            "additive-seed-wide", "duplicate-seeds", "wage-nan", "min-size-nan",
+            "replacement-low-nan", "margin-inf", "price-minus-inf", "rounding-name",
+            "workers", "snapshot-times-descending", "snapshot-times-zero",
+            "marsili-one-worker", "scaled-beta", "margin", "price", "replacement-high",
+            "scaled-replacement-mean", "marsili-replacement-mean", "sampler-limit",
+            "multiplicative-sigma", "scaled-sigma", "multiplicative-sigma-underflow",
+            "scaled-sigma-underflow"])
+    def test_config_error_writes_nothing(self, flags, message, tmp_path, capsys):
+        assert cli.main(["run", *flags.split(), "-o", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
@@ -309,11 +318,29 @@ class TestMainEntry:
                          "-o", str(tmp_path)]) == 2
         assert "seed 1: a unit grew to size" in capsys.readouterr().err
 
-    def test_duplicate_seeds_are_config_error(self, tmp_path, capsys):
-        assert cli.main(["run", "--preset", "Custom", "--seeds", "1,2,1",
-                         "-o", str(tmp_path)]) == 1
-        assert "distinct" in capsys.readouterr().err
-        assert not list(tmp_path.iterdir())
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        # the rerun rewrites snapshot_t5.csv before it fails; the first run's
+        # manifest, which lists that file's old hash, must not survive it
+        flags = ["run", "--preset", "Multiplicative", "--n-units", "50", "--n-workers",
+                 "5000", "--iterations", "200", "--snapshot-times", "5,200",
+                 "-o", str(tmp_path)]
+        assert cli.main(flags) == 0
+        assert (tmp_path / "manifest.csv").exists()
+        assert cli.main([*flags, "--sigma", "300"]) == 2
+        assert "a unit grew to size" in capsys.readouterr().err
+        assert (tmp_path / "seed_00001" / "snapshot_t5.csv").exists()
+        assert not (tmp_path / "manifest.csv").exists()
+
+    def test_tail_fit_skipped_without_enough_firms(self, tmp_path, capsys):
+        assert cli.main(["run", "--preset", "Custom", "--n-firms", "5", "--n-workers", "100",
+                         "--iterations", "3", "-o", str(tmp_path)]) == 0
+        seed_dir = tmp_path / "seed_00001"
+        assert (seed_dir / "ccdf.csv").exists()
+        assert not (seed_dir / "fit.csv").exists()
+        capsys.readouterr()
+        assert cli.main(["analyze", "--input", str(seed_dir)]) == 0
+        assert "tail fit skipped" in capsys.readouterr().out
+        assert not (seed_dir / "fit.csv").exists()
 
     def test_analyze_round_trip(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -389,3 +416,56 @@ class TestMainEntry:
         assert header == "size,prob"
         prob = first.split(",")[1]
         assert len(prob.replace(".", "").replace("-", "").lstrip("0")) <= 9
+
+
+# Hypothesis draws early list entries most often: valid values come first.
+INTS = ["1", "2", "3", "5", "10", "100", "0", "-1"]
+FLOATS = ["0.05", "0.5", "1", "1.5", "2", "1e9", "1e200", "1e300", "1e-170", "5e-324", "0",
+          "-1", "nan"]
+FIELD_TYPES = {**typing.get_type_hints(BaselineConfig), **typing.get_type_hints(ModelConfig)}
+
+
+def flag_values(key):
+    kind = FIELD_TYPES[key]
+    if kind in (int, float):
+        return INTS if kind is int else FLOATS
+    return [member.value for member in kind] + ["Banana"]
+
+
+@st.composite
+def tiny_runs(draw):
+    """Flags of one tiny run: a preset with up to 3 of its keys set from
+    small value lists, at most 2 seeds and 2 workers, 1-3 iterations and at
+    most 200 workers (the Marsili step holds one label per worker)."""
+    preset = draw(st.sampled_from(sorted(cli.PRESETS)))
+    keys = cli.PRESETS[preset].keys
+    flags = {"preset": preset, "n_firms" if "n_firms" in keys else "n_units": "20",
+             "n_workers": "200", "iterations": draw(st.sampled_from(["1", "2", "3"]))}
+    for key in draw(st.lists(st.sampled_from(sorted(keys - {"iterations"})),
+                             max_size=3, unique=True)):
+        flags[key] = draw(st.sampled_from(flag_values(key)))
+    seeds = draw(st.lists(st.sampled_from(INTS), min_size=1, max_size=2, unique=True))
+    flags["seeds"] = ",".join(seeds)
+    flags["workers"] = draw(st.sampled_from(["1", "2"]))
+    extra = draw(st.sampled_from([None, "snapshot_times", "min_size"]))
+    if extra == "snapshot_times":
+        flags[extra] = draw(st.sampled_from(["1", "1,2", "2,1", "0,1", "3", "5"]))
+    elif extra == "min_size":
+        flags[extra] = draw(st.sampled_from(FLOATS))
+    return [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(tiny_runs())
+def test_any_tiny_run_exits_cleanly(flags):
+    # A run succeeds or is a config error that writes nothing; the one
+    # runtime error it may meet is a unit outgrowing an integer.
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = Path(tmp) / "out", io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["run", *flags, "-o", str(out)])
+        assert code in (0, 1, 2), err.getvalue()
+        if code == 1:
+            assert not out.exists(), err.getvalue()
+        if code == 2:
+            assert "a unit grew to size" in err.getvalue()

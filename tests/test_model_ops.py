@@ -127,22 +127,13 @@ class TestAllocateMarket:
                               substream(10, 0))
         assert list(got) == [3, 0, 7]
 
-    def test_exact_matching_enumeration(self):
-        # two claimants of 2 slots each, supply 2: C(4,2)=6 equally likely picks
-        rng = substream(11, 0)
-        reps = 200_000
-        first = np.array([
-            allocate_market([2, 2], 2, Allocation.EXACT_MATCHING, rng)[0]
-            for _ in range(reps)
-        ])
-        for value, prob in [(2, 1 / 6), (1, 4 / 6), (0, 1 / 6)]:
-            observed = (first == value).mean()
-            assert abs(observed - prob) < 4 * freq_se(prob, reps)
-
     # Urns small enough to enumerate, two on each side of the sampler rule
     # (many small claims take "count", few large ones "marginals"), with the
-    # supply below and above half of the claims.
+    # supply below and above half of the claims; the first is two claims of
+    # 2 slots with supply 2, whose C(4, 2) = 6 picks serve (2, 0), (1, 1) and
+    # (0, 2) with probabilities 1/6, 4/6 and 1/6.
     @pytest.mark.parametrize("claims,supply,method", [
+        ([2, 2], 2, "count"),
         ([2, 3, 1, 4, 2], 4, "count"),
         ([2, 3, 1, 4, 2], 7, "count"),
         ([25, 35, 30], 45, "marginals"),

@@ -30,7 +30,7 @@ TIMES = [0, 1, rng._BLOCK - 1, rng._BLOCK, 2 * rng._BLOCK - 1, 2 * rng._BLOCK,
 def test_substream_matches_seed_sequence(seed, head):
     rng._blocks.clear()
     for t in TIMES:
-        for _ in range(2):  # the first call seeds one stream, the second a block
+        for _ in range(2):  # the first call builds a block, the second reads it
             assert_same_stream(substream(seed, *head, t), reference(seed, *head, t))
     assert (seed, *head) in rng._blocks
 
