@@ -280,14 +280,16 @@ def fit_beta(binned: Sequence[SizeBinStats]) -> FitResult:
     """Scaling exponent of growth dispersion: sigma(n) ~ n**-beta.
 
     Log-log OLS of the per-bin standard deviation against the bin's geometric
-    mean size; beta is minus the slope.
+    mean size; beta is minus the slope. A bin whose growth rates do not
+    spread (``sigma_g`` 0) has no logarithm and is left out.
     """
-    x = np.log([b.geo_mean_size for b in binned])
-    y = np.log([b.sigma_g for b in binned])
+    used = [b for b in binned if b.sigma_g > 0]
+    x = np.log([b.geo_mean_size for b in used])
+    y = np.log([b.sigma_g for b in used])
     slope, _, se = _ols(x, y)
-    lo = min(b.bin_low for b in binned)
-    hi = max(b.bin_high for b in binned)
-    return FitResult(-slope, se, (lo, hi), FitMethod.LOG_LOG_OLS, len(binned))
+    lo = min(b.bin_low for b in used)
+    hi = max(b.bin_high for b in used)
+    return FitResult(-slope, se, (lo, hi), FitMethod.LOG_LOG_OLS, len(used))
 
 
 _DEV_BINS = 24

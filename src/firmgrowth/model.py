@@ -17,9 +17,12 @@ average, and realized profits feed back into the next production plan.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import enum
+import functools
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +35,21 @@ log = logging.getLogger(__name__)
 # allocation mode or the rounding scheme cannot shift the draws that the
 # other stages of an iteration consume. Stages that share a stream draw in a
 # fixed order, and only the last of them may draw a number of values that
-# depends on the allocation mode or on the sampler chosen for its urn.
+# depends on the allocation mode or on the sampler chosen for its urn. The
+# job market's block b draws its doubled units from (OFFER_STREAM, b, t) and
+# its hires from (JOB_MARKET_STREAM, b, t).
 OFFER_STREAM = 0
 JOB_MARKET_STREAM = 1
 GOODS_STREAM = 2  # goods rounding, demand rounding, then the goods market
 REPLACE_STREAM = 4
+
+# Job markets of at least this many firms draw their second block of firms on
+# a helper thread (see _hire); smaller ones draw both blocks inline, where the
+# handoff would cost more than the draw it moves.
+_HELPER_MIN_FIRMS = 2048
+# (pid, executor) of this process's helper thread, started by the first market
+# that uses it. A forked child has no thread of its parent and starts its own.
+_helper: tuple[int, concurrent.futures.ThreadPoolExecutor] | None = None
 
 
 class Scenario(enum.Enum):
@@ -198,12 +211,15 @@ def per_unit_offer_array(sizes, margin: float, rng: np.random.Generator) -> np.n
 
     Each of a firm's ``size`` positions is offered twice with probability
     ``margin`` and once otherwise, so an offer lies in [size, 2*size] with
-    expectation ``size * (1 + margin)``.
+    expectation ``size * (1 + margin)``. Drawn as the number of doubled
+    positions, Binomial(sum of sizes, margin), then which positions those
+    are, a uniform subset: the law of independent doublings given their sum.
     """
     if not 0.0 <= margin <= 1.0:
         raise ValueError("per-unit doubling requires margin in [0, 1]")
     sizes = np.asarray(sizes, dtype=np.int64)
-    return sizes + rng.binomial(sizes, margin)
+    total = int(sizes.sum())
+    return sizes + _spread(sizes, total, int(rng.binomial(total, margin)), rng)
 
 
 def _hypergeometric_method(total: int, k: int, n_colors: int) -> str:
@@ -221,6 +237,14 @@ def _hypergeometric_method(total: int, k: int, n_colors: int) -> str:
     """
     count_ns = 0.2 * total + 12.0 * k + 4e-5 * k * total
     return "count" if count_ns < 155.0 * n_colors else "marginals"
+
+
+def _spread(units: np.ndarray, total: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """How many of ``k`` units, picked uniformly without replacement from the
+    ``total`` units that ``units`` lay end to end, fall to each owner: the
+    multivariate hypergeometric law, from the faster sampler for the urn."""
+    method = _hypergeometric_method(total, min(k, total - k), units.size)
+    return rng.multivariate_hypergeometric(units, k, method=method)
 
 
 def allocate_market(demands, supply: int, mode: Allocation,
@@ -245,8 +269,7 @@ def allocate_market(demands, supply: int, mode: Allocation,
     if total <= supply:
         return d.copy()
     if mode is Allocation.EXACT_MATCHING:
-        method = _hypergeometric_method(total, min(supply, total - supply), d.size)
-        return rng.multivariate_hypergeometric(d, int(supply), method=method)
+        return _spread(d, total, int(supply), rng)
     return rng.binomial(d, supply / total)
 
 
@@ -285,22 +308,93 @@ class Economy:
         return _step_workers_only_consume(self)
 
 
-def _hire(economy: Economy, t: int) -> float:
+def _hire(economy: Economy, t: int, per_unit: bool = False) -> float:
     """The job market of iteration ``t``: the ``n_workers`` workers fill the
-    posted ``job_offer`` slots, drawn only when the offers exceed them. Sets
-    ``size``, ``employed`` and ``output``; returns the fill probability."""
+    posted ``job_offer`` slots, drawn only when the offers exceed them. With
+    ``per_unit``, ``job_offer`` holds the firms' sizes and each of their
+    positions is first offered twice with probability ``margin``, the law of
+    :func:`per_unit_offer_array`. Sets ``job_offer``, ``size``, ``employed``
+    and ``output``; returns the fill probability.
+
+    The firms fall into two fixed blocks, the first ``n_firms // 2`` and the
+    rest. This thread draws only scalars: each block's number of doubled
+    positions, a Binomial of its sizes' sum, from the offer stream; then, when
+    the offers bind under exact matching, block 0's share of the workers, a
+    hypergeometric draw over the two blocks' offers, from the job stream.
+    Each block then draws which of its positions double and which of its
+    offers are filled, uniform subsets, from its own streams. Given the
+    split, the two blocks' draws are the one-urn multivariate hypergeometric
+    law. Block 1 draws on the helper thread in markets of at least
+    ``_HELPER_MIN_FIRMS`` firms; the draws do not depend on which thread
+    makes them.
+    """
     cfg = economy.config
-    offers = economy.job_offer
-    total_offers = int(offers.sum())
-    if total_offers > cfg.n_workers:
-        hired = allocate_market(offers, cfg.n_workers, cfg.allocation,
-                                substream(cfg.seed, JOB_MARKET_STREAM, t))
+    seed, n_workers = cfg.seed, cfg.n_workers
+    cut = cfg.n_firms // 2
+    units = (economy.job_offer[:cut], economy.job_offer[cut:])
+    totals = [int(u.sum()) for u in units]
+    doubled = [0, 0]
+    if per_unit:
+        doubled = substream(seed, OFFER_STREAM, t).binomial(totals, cfg.margin).tolist()
+    offered = [n + d for n, d in zip(totals, doubled)]
+    total = sum(offered)
+    binding = total > n_workers
+    if not (per_unit or binding):
+        hired = economy.job_offer.copy()
     else:
-        hired = offers.copy()
+        supply, fill = [None, None], None
+        if binding and cfg.allocation is Allocation.EXACT_MATCHING:
+            share = int(substream(seed, JOB_MARKET_STREAM, t)
+                        .hypergeometric(offered[0], offered[1], n_workers))
+            supply = [share, n_workers - share]
+        elif binding:
+            fill = n_workers / total
+        tasks = [functools.partial(
+            _block_market, units[b], totals[b], doubled[b], offered[b], supply[b], fill,
+            substream(seed, OFFER_STREAM, b, t) if per_unit and units[b].size else None,
+            substream(seed, JOB_MARKET_STREAM, b, t) if binding and units[b].size else None)
+            for b in (0, 1)]
+        if cfg.n_firms >= _HELPER_MIN_FIRMS:
+            pending = _helper_thread().submit(tasks[1])
+            try:
+                first = tasks[0]()
+            finally:
+                second = pending.result()  # the helper is idle again on return
+        else:
+            first, second = tasks[0](), tasks[1]()
+        (offers0, hired0), (offers1, hired1) = first, second
+        economy.job_offer = np.concatenate((offers0, offers1))
+        hired = np.concatenate((hired0, hired1))
     economy.size = hired
     economy.employed = int(hired.sum())
     economy.output = production(hired, cfg.margin, cfg.wage, cfg.price)
-    return cfg.n_workers / total_offers if total_offers > cfg.n_workers else 1.0
+    return n_workers / total if binding else 1.0
+
+
+def _block_market(units, total, doubled, offered, supply, fill, offer_rng, hire_rng):
+    """One block's part of the job market: (offers, hires).
+
+    Its ``doubled`` positions (a uniform subset of the ``total`` in
+    ``units``) are offered twice when ``offer_rng`` is given; its ``offered``
+    offers are then filled from ``supply`` workers, or each with probability
+    ``fill``, when ``hire_rng`` is given. Runs on either thread, so it calls
+    numpy and private helpers only.
+    """
+    offers = units if offer_rng is None else units + _spread(units, total, doubled, offer_rng)
+    if hire_rng is None:
+        return offers, offers
+    if fill is not None:
+        return offers, hire_rng.binomial(offers, fill)
+    return offers, _spread(offers, offered, supply, hire_rng)
+
+
+def _helper_thread() -> concurrent.futures.ThreadPoolExecutor:
+    """This process's one helper thread, started on first use."""
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        _helper = (os.getpid(), concurrent.futures.ThreadPoolExecutor(
+            1, thread_name_prefix="firmgrowth-market"))
+    return _helper[1]
 
 
 def _step_firms_consume(economy: Economy) -> GrowthBatch:
@@ -315,12 +409,13 @@ def _step_firms_consume(economy: Economy) -> GrowthBatch:
     t = economy.time
 
     size_before = economy.size.copy()
-    offer_rng = substream(cfg.seed, OFFER_STREAM, t)
-    if cfg.rounding is Rounding.PER_UNIT:
-        economy.job_offer = per_unit_offer_array(size_before, cfg.margin, offer_rng)
+    per_unit = cfg.rounding is Rounding.PER_UNIT
+    if per_unit:
+        economy.job_offer = size_before  # _hire draws the doubled positions
     else:
-        economy.job_offer = round_array(size_before * (1.0 + cfg.margin), offer_rng)
-    fill = _hire(economy, t)
+        economy.job_offer = round_array(size_before * (1.0 + cfg.margin),
+                                        substream(cfg.seed, OFFER_STREAM, t))
+    fill = _hire(economy, t, per_unit)
 
     # Demand always suffices here: the whole production is sold.
     economy.sold = economy.output.copy()

@@ -213,6 +213,18 @@ class TestFitBeta:
         with pytest.raises(ValueError):
             fit_beta(bin_by_size(*records))
 
+    def test_zero_sigma_bin_left_out(self):
+        # a fourth bin whose growth rates are all exactly 1 has no log(sigma)
+        spread = self._exact_records([10, 100, 1000], lambda n: n ** -0.5)
+        still = np.full(40, 10_000.0)
+        binned = bin_by_size(np.concatenate((spread[0], still)),
+                             np.concatenate((spread[1], still)))
+        assert [b.sigma_g == 0 for b in binned] == [False, False, False, True]
+        beta = fit_beta(binned)
+        assert beta.n_points == 3
+        assert abs(beta.exponent - 0.5) < 1e-9
+        assert beta.fit_range[1] == binned[2].bin_high
+
 
 class TestTentShape:
     def test_broad_mixture_gives_inverse_deviation_density(self):

@@ -1,6 +1,10 @@
 """Config parsing, run orchestration, CSV outputs and exit codes."""
 import contextlib
 import io
+import os
+import signal
+import subprocess
+import sys
 import tempfile
 import typing
 from concurrent.futures import Future
@@ -11,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from firmgrowth import cli
+from firmgrowth import cli, model
 from firmgrowth.baselines import BaselineConfig
 from firmgrowth.cli import ConfigError, RunSpec, materialize, parse_config, run
 from firmgrowth.model import Allocation, ModelConfig, Rounding, Scenario
@@ -172,6 +176,38 @@ class TestRun:
         run(pooled)
         assert read_bytes_tree(tmp_path / "serial") == read_bytes_tree(tmp_path / "pooled")
 
+    @pytest.mark.parametrize("rounding", list(Rounding))
+    def test_outputs_do_not_depend_on_the_helper_thread(self, rounding, tmp_path, monkeypatch):
+        overrides = dict(n_firms=64, n_workers=3200, iterations=60, rounding=rounding)
+        for name, threshold in (("inline", 10**9), ("helper", 0)):
+            monkeypatch.setattr(model, "_HELPER_MIN_FIRMS", threshold)
+            run(RunSpec(preset="Custom", overrides=overrides, seeds=[5],
+                        output_dir=tmp_path / name))
+        assert read_bytes_tree(tmp_path / "inline") == read_bytes_tree(tmp_path / "helper")
+
+    def test_forked_workers_start_their_own_helper(self, tmp_path):
+        # A fresh interpreter uses the helper, then forks a pool whose workers
+        # inherit the helper but not its thread. A market that reused it would
+        # wait forever, so the run is time-bounded and its process group killed.
+        code = ("import sys; from pathlib import Path; from firmgrowth import model; "
+                "from firmgrowth.cli import RunSpec, run; model._HELPER_MIN_FIRMS = 0; "
+                f"spec = {SMALL_RUN!r}; out = Path(sys.argv[1]); "
+                "run(RunSpec(output_dir=out / 'serial', **spec)); "
+                "assert model._helper is not None; "
+                "run(RunSpec(output_dir=out / 'pooled', workers=2, **spec))")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path)], start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        try:
+            _, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("a forked pool worker waited on its parent's helper thread")
+        assert proc.returncode == 0, err
+        assert read_bytes_tree(tmp_path / "serial") == read_bytes_tree(tmp_path / "pooled")
+
     def test_pool_starts_no_more_workers_than_seeds(self, tmp_path, inline_pool):
         run(RunSpec(output_dir=tmp_path / "two", workers=8, **SMALL_RUN))
         run(RunSpec(output_dir=tmp_path / "one", workers=8, **{**SMALL_RUN, "seeds": [3]}))
@@ -330,6 +366,18 @@ class TestMainEntry:
         assert "a unit grew to size" in capsys.readouterr().err
         assert (tmp_path / "seed_00001" / "snapshot_t5.csv").exists()
         assert not (tmp_path / "manifest.csv").exists()
+
+    def test_zero_spread_size_bin_is_not_fitted(self, tmp_path):
+        # sigma 1e-170 moves no unit off its size, so the one size bin has
+        # sigma_g 0: no log(0) warning, and too few bins for beta_fit.csv
+        flags = ("run --preset Additive --n-units 300 --n-workers 30000 --iterations 50 "
+                 "--sigma 1e-170 --min-size 1")
+        subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "firmgrowth",
+                        *flags.split(), "-o", str(tmp_path)],
+                       check=True, capture_output=True,
+                       env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert (tmp_path / "seed_00001" / "binned_sigma.csv").exists()
+        assert not (tmp_path / "seed_00001" / "beta_fit.csv").exists()
 
     def test_tail_fit_skipped_without_enough_firms(self, tmp_path, capsys):
         assert cli.main(["run", "--preset", "Custom", "--n-firms", "5", "--n-workers", "100",

@@ -19,13 +19,19 @@ from firmgrowth import cli
 # stream; each restated hash names its own reason below.
 # All eleven were restated when binned_sigma.csv dropped its per-size-bin tent
 # slope column: no draw changed, and every other output file kept its sha256.
+# Hashes 1, 6, 7, 8 and 10 were restated when the job market began to draw in
+# two fixed blocks of firms and per-unit doubling began to draw a Binomial
+# total spread as a uniform subset: same laws, new draws. Each names its
+# reason below; scripts/diff_manifests.py showed only the snapshot and
+# growth files changed, never a config row.
 FINGERPRINTS = [
     # Goods urns of about 50 firms take numpy's "count" sampler, from the goods stream.
     ("--preset ScenarioII --n-firms 50 --n-workers 2000 --iterations 120 --seeds 9 "
      "--snapshot-times 60,120",
      "c124a4fcc17299fd50838298263183853c19d030bc93c55e366a9b10a1b60c66"),
+    # Per-unit doubling and the job market, drawn per block.
     ("--preset ScenarioI --n-firms 200 --n-workers 20000 --iterations 200 --seeds 1,2",
-     "d517f85dd55c96f13fb9bd917821ec7092a825aaec20771f298267dcf2d01703"),
+     "672084cc8bb81bd022ef20a9fc4c0f1e88115b099da731f50d2e3285e98f2257"),
     ("--preset Additive --n-units 200 --n-workers 20000 --iterations 200 --seeds 3 "
      "--snapshot-times 100,200",
      "e258d2cf0c464e98726a8722026f13ed36efb9fe4fc3674aa06735ceeaca87c5"),
@@ -38,25 +44,29 @@ FINGERPRINTS = [
     ("--preset MarsiliSequential --n-units 50 --n-workers 2000 --iterations 40 --seeds 3 "
      "--snapshot-times 20,40",
      "57de64acc84c1ed60f38965a0150879bee05529a743c9233555a9bbcf3da87ec"),
-    # Its job urn (100 firms, about 5,500 offers for 5,000 workers) takes "count".
+    # Its job market (100 firms, about 5,500 offers for 5,000 workers) splits
+    # the workers over two blocks of 50 firms, whose urns take "count".
     ("--preset Custom --seeds 4",
-     "1289461c99c9ad6648c87d2011926dee656ed981af091ec838ca67980d06db11"),
+     "054dad619727ed570fd4072e39abed9651bceb57450eb09374287829ce740e18"),
     # Binomial goods market: its draws now follow the goods rounding on one stream.
+    # Its job market binds in 26 of 500 iterations, and is drawn per block.
     ("--preset Custom --scenario WorkersOnlyConsume --allocation IndependentBinomial "
      "--seeds 4",
-     "84a0b29ea43a361aaa80f494b3f2a4967e782d017489494e5226d47b51319f20"),
-    # Goods urns take "count", from the goods stream.
+     "494f9f457206a953f0e93dd0bb949fcc270fafa23b913911329ea8eb5d29edf1"),
+    # Goods urns take "count", from the goods stream. Per-unit plans, and a job
+    # market that binds in 9 of 500 iterations, drawn per block.
     ("--preset Custom --scenario WorkersOnlyConsume --rounding PerUnit --seeds 4",
-     "f6903b6fdf91c26275559788aee8da3bdcefe76f05de2c7203a58d0de7c1a469"),
+     "ed321a207446fa8ca65e664cad6cf1487c10c63cf5e08ea050d78558607b8de8"),
     # 400 moves per iteration across 200 cities of 2 workers: refills and their
     # donor draws run about 30 times per step.
     ("--preset MarsiliSequential --n-units 200 --n-workers 400 --move-fraction 1 "
      "--iterations 30 --seeds 1,2 --snapshot-times 15,30",
      "c78f67a33fcd1c0a0cb265fe8284d0ed10444418e1a6aeb07187ed645f98d8a9"),
     # Wage above price: job offers s * p / w are fractional and drawn from the
-    # offer stream, where p == w gives whole offers without a draw.
+    # offer stream, where p == w gives whole offers without a draw. Its job
+    # market binds in 36 of 500 iterations, and is drawn per block.
     ("--preset Custom --scenario WorkersOnlyConsume --wage 1.3 --price 0.9 --seeds 4",
-     "2493394499b918d5b1c705e266d7d92d93d8b785000db421a24cd69bcbf0567b"),
+     "5fb4e9c5fbe71367a345646fac3b4e8d29a310823a751a1b5db6a32b4d379907"),
 ]
 
 

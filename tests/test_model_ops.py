@@ -83,20 +83,17 @@ class TestPerUnitOffer:
         assert per_unit_offer_array([0], 0.1, substream(5, 0)).tolist() == [0]
 
     def test_single_position_doubling_rate(self):
-        rng = substream(6, 0)
         n = 100_000
-        draws = per_unit_offer_array(np.ones(2000), 0.1, rng)
-        assert set(np.unique(draws)) <= {1, 2}
-        offers = 1 + rng.binomial(np.ones(n, dtype=np.int64), 0.1)
+        offers = per_unit_offer_array(np.ones(n), 0.1, substream(6, 0))
+        assert set(np.unique(offers)) <= {1, 2}
         up = (offers == 2).mean()
         assert abs(up - 0.1) < 4 * freq_se(0.1, n)
 
     def test_size_four_is_shifted_binomial(self):
         from scipy.stats import binom
 
-        rng = substream(7, 0)
         n = 200_000
-        offers = 4 + rng.binomial(np.full(n, 4), 0.1)
+        offers = per_unit_offer_array(np.full(n, 4), 0.1, substream(7, 0))
         for k in range(5):
             expected = binom.pmf(k, 4, 0.1)
             observed = (offers == 4 + k).mean()

@@ -71,3 +71,40 @@ def test_block_generator_pickles():
     substream(3, 1, 10)
     gen = substream(3, 1, 11)
     assert_same_stream(pickle.loads(pickle.dumps(gen)), reference(3, 1, 11))
+
+
+# First draws of every numpy sampler a run calls, each from a fresh stream of
+# one fixed key. The pinned manifest hashes depend on these algorithms; when a
+# hash moves and this test fails too, numpy's samplers moved, not the code.
+# Where numpy picks an algorithm by the parameters, both sides are pinned.
+KNOWN_DRAWS = [
+    ("binomial", lambda g: g.binomial([3, 40, 5000], 0.3), [1, 14, 1520]),
+    ("multivariate_hypergeometric count",
+     lambda g: g.multivariate_hypergeometric([4, 9, 2, 7], 10, method="count"), [3, 4, 1, 2]),
+    ("multivariate_hypergeometric marginals",
+     lambda g: g.multivariate_hypergeometric([400, 900, 200, 700], 1000, method="marginals"),
+     [189, 390, 91, 330]),
+    ("hypergeometric", lambda g: g.hypergeometric([5, 600], [7, 900], [6, 700]), [3, 276]),
+    ("integers", lambda g: g.integers(0, 1000, 4), [962, 637, 128, 793]),
+    ("normal", lambda g: g.normal(2.0, 3.0, 3),
+     [2.143508062234755, 0.14611936844928541, 6.307800823774926]),
+    ("standard_normal", lambda g: g.standard_normal(3),
+     [0.04783602074491836, -0.6179602105169049, 1.4359336079249754]),
+    ("random", lambda g: g.random(3), [0.6378970227582859, 0.7932979646438517, 0.3609578331268727]),
+    ("uniform", lambda g: g.uniform(1.0, 2.0, 3),
+     [1.6378970227582859, 1.7932979646438518, 1.3609578331268728]),
+    ("choice sparse", lambda g: g.choice(10_000, 5, replace=False),
+     [5149, 1286, 7932, 9622, 6377]),
+    ("choice dense", lambda g: g.choice(20, 15, replace=False),
+     [16, 11, 13, 9, 7, 0, 17, 5, 18, 1, 14, 19, 4, 2, 3]),
+]
+
+
+@pytest.mark.parametrize("draw,expected", [d[1:] for d in KNOWN_DRAWS],
+                         ids=[d[0] for d in KNOWN_DRAWS])
+def test_numpy_sampler_known_answers(draw, expected):
+    got = draw(substream(2024, 5, 3)).tolist()
+    if isinstance(expected[0], int):
+        assert got == expected
+    else:
+        assert got == pytest.approx(expected, rel=1e-12)

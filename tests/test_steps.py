@@ -1,4 +1,5 @@
 """Iteration-level behavior of both scarcity scenarios."""
+import collections
 import itertools
 import math
 
@@ -153,13 +154,14 @@ class TestScenarioII:
     @pytest.mark.parametrize("wage,price", [(1.0, 1.0), (1.3, 0.9)])
     def test_job_offers_follow_last_sales(self, wage, price, monkeypatch):
         # Last output grown by the realized margin needs sold * p / w
-        # workers: whole when p == w, so no offer stream is built then.
+        # workers: whole when p == w, so no offer stream is built then. A
+        # binding job market also builds its blocks' (stream, block, t) keys.
         streams, offers = [], []
         substream, replace = model.substream, model.replace_extinct
 
-        def recording_substream(seed, stream, t):
+        def recording_substream(seed, stream, *key):
             streams.append(stream)
-            return substream(seed, stream, t)
+            return substream(seed, stream, *key)
 
         def recording_replace(economy, rng):
             offers.append(economy.job_offer.copy())
@@ -247,6 +249,72 @@ class TestReplacement:
         assert set(observed) <= set(support)
         counts = [observed.get(r, 0) for r in support]
         assert sps.chisquare(counts, np.array(pmf) * reps).pvalue > 1e-3
+
+
+class TestBlockMarket:
+    """The two-block job market against its exact one-step law, with block 1
+    drawn on the helper thread."""
+
+    @staticmethod
+    def chisquare_pvalue(units, n_workers, allocation, per_unit, pmf, reps=10_000):
+        """p-value of ``reps`` draws of ``_hire`` on the posted ``units`` against
+        ``pmf(outcome)``: the hires, or with ``per_unit`` the doubled positions.
+        Outcomes expected fewer than 5 times are pooled into one cell."""
+        cfg = ModelConfig(n_firms=len(units), n_workers=n_workers, margin=0.3,
+                          allocation=allocation, seed=21)
+        economy = Economy(cfg)
+        units = np.array(units, dtype=np.int64)
+        observed = collections.Counter()
+        for t in range(reps):
+            economy.job_offer = units.copy()
+            model._hire(economy, t, per_unit)
+            outcome = economy.job_offer - units if per_unit else economy.size
+            observed[tuple(outcome.tolist())] += 1
+        support = [k for k in itertools.product(*(range(u + 1) for u in units.tolist()))
+                   if pmf(k) > 0]
+        assert set(observed) <= set(support)
+        expected = np.array([pmf(k) for k in support]) * reps
+        assert expected.sum() == pytest.approx(reps)
+        counts = np.array([observed[k] for k in support])
+        small = expected < 5
+        if small.any():
+            counts = np.append(counts[~small], counts[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        return sps.chisquare(counts, expected).pvalue
+
+    @pytest.fixture(autouse=True)
+    def helper_on(self, monkeypatch):
+        monkeypatch.setattr(model, "_HELPER_MIN_FIRMS", 0)
+
+    def test_exact_matching_is_one_urn(self):
+        # blocks [2, 1] | [3, 2]: a hypergeometric split of the 5 workers,
+        # then one urn per block, is the one urn of all 8 offers
+        offers = [2, 1, 3, 2]
+
+        def pmf(k):
+            if sum(k) != 5:
+                return 0.0
+            return math.prod(map(math.comb, offers, k)) / math.comb(8, 5)
+
+        assert self.chisquare_pvalue(offers, 5, Allocation.EXACT_MATCHING, False, pmf) > 1e-3
+
+    def test_independent_binomial_fills_each_offer(self):
+        offers = [2, 1, 3, 2]
+
+        def pmf(k):
+            return math.prod(sps.binom.pmf(x, d, 5 / 8) for x, d in zip(k, offers))
+
+        assert self.chisquare_pvalue(offers, 5, Allocation.INDEPENDENT_BINOMIAL, False,
+                                     pmf) > 1e-3
+
+    def test_positions_double_independently(self):
+        # 20 workers exceed every offer, so no hire is drawn
+        sizes = [1, 2, 1, 3]
+
+        def pmf(k):
+            return math.prod(sps.binom.pmf(x, n, 0.3) for x, n in zip(k, sizes))
+
+        assert self.chisquare_pvalue(sizes, 20, Allocation.EXACT_MATCHING, True, pmf) > 1e-3
 
 
 class TestDeterminism:

@@ -109,10 +109,13 @@ class TestGrowthDensity:
 def test_cli_import_leaves_scipy_unloaded():
     # a fresh interpreter: this test process has scipy loaded already. Nor is
     # multiprocessing loaded: only a run with a worker pool needs it. Nor is
-    # numpy.random: the first stream of a run imports it.
+    # numpy.random: the first stream of a run imports it. Nor has a thread
+    # started, even once an Economy is built: a market starts its helper.
     src = str(Path(firmgrowth.__file__).parents[1])
     code = ("import sys, firmgrowth.cli; print(any(m.split('.')[0] in ('scipy', "
-            "'multiprocessing') or m.startswith('numpy.random') for m in sys.modules))")
+            "'multiprocessing') or m.startswith('numpy.random') for m in sys.modules)); "
+            "import threading; from firmgrowth.model import Economy, ModelConfig; "
+            "Economy(ModelConfig()); print(threading.active_count())")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "1"]
