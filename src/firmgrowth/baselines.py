@@ -65,25 +65,27 @@ def _entrants(count: int, replacement_mean: float, rng: np.random.Generator) -> 
 
 
 def step_additive(sizes, sigma: float, rng: np.random.Generator,
-                  replacement_mean: float = 1.5) -> np.ndarray:
+                  replacement_mean: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
     """One step of purely additive Gaussian noise at constant global size.
 
     Each size gains an independent Normal(0, sigma^2) increment; units pushed
     to zero or below restart at ``replacement_mean`` and everything is
-    rescaled so the total matches the input total exactly.
+    rescaled so the total matches the input total exactly. Returns the new
+    sizes and the indices of the restarted units.
     """
     x = np.asarray(sizes, dtype=float)
     if x.size == 0:
         raise ValueError("sizes must be non-empty")
     total = x.sum()
     out = x + rng.normal(0.0, sigma, x.size)
-    out[out <= 0] = replacement_mean
+    dead = np.flatnonzero(out <= 0)
+    out[dead] = replacement_mean
     out *= total / out.sum()
-    return out
+    return out, dead
 
 
 def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
-                     replacement_mean: float = 1.5) -> np.ndarray:
+                     replacement_mean: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
     """Multiplicative noise with size-dependent dispersion sigma(n) = sqrt(c) * n**-beta.
 
     With ``beta = 0`` this is plain multiplicative noise, g ~ Normal(1, c):
@@ -92,7 +94,8 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     are replaced by entrants drawn uniformly on ``replacement_mean`` +/- 1/2
     (:func:`~firmgrowth.model.entrant_sizes`). With ``beta = 0.5`` the
     post-step variance is ``c * n``, the same scaling the market model
-    produces without any market mechanics.
+    produces without any market mechanics. Returns the new sizes and the
+    indices of the replaced units.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -114,7 +117,7 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
     dead = np.flatnonzero(out == 0)
     if dead.size:
         out[dead] = _entrants(dead.size, replacement_mean, rng)
-    return out
+    return out, dead
 
 
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,

@@ -271,17 +271,17 @@ class _NoiseProcess:
         self.output = self.sold = np.zeros(cfg.n_units)
 
     def step(self) -> GrowthBatch:
-        cfg, before = self.config, self.size
+        cfg, before, ended = self.config, self.size, ()
         rng, mean = substream(cfg.seed, 0, self.time), cfg.replacement_mean
-        if self.kind == "marsili":
+        if self.kind == "marsili":  # its refills are not reported yet: their records run on
             moves = max(1, round(cfg.move_fraction * cfg.n_workers))
             self.size = step_marsili_sequential(before, moves, rng, mean)
         elif self.kind == "additive":
-            self.size = step_additive(before, cfg.sigma, rng, mean)
+            self.size, ended = step_additive(before, cfg.sigma, rng, mean)
         else:
-            self.size = step_scaled_beta(before, cfg.sigma ** 2, cfg.beta, rng, mean)
+            self.size, ended = step_scaled_beta(before, cfg.sigma ** 2, cfg.beta, rng, mean)
         self.time += 1
-        return GrowthBatch(before, self.size)
+        return GrowthBatch(before, self.size, ended)
 
 
 def _simulator(kind: str, cfg):
@@ -363,7 +363,7 @@ def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
     t, latest = max(snapshots)
     try:
         snap = analytics.SizeSnapshot.from_values(io.read_snapshot_sizes(latest))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{latest}: {exc}") from None
     if len(snap) == 0:
         raise ConfigError(f"{latest} holds no positive size")
@@ -446,9 +446,11 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "run":
-            mapping: dict[str, tuple[str, int]] = {}
-            if args.config is not None:
-                mapping.update(_parse_lines(Path(args.config).read_text()))
+            try:
+                text = args.config.read_text() if args.config else ""
+            except (OSError, UnicodeError) as exc:
+                raise ConfigError(f"{args.config}: {exc}") from None
+            mapping = _parse_lines(text)
             for key in _PARSERS:
                 value = getattr(args, key, None)
                 if value is not None:

@@ -60,7 +60,13 @@ def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
 
 
 def read_snapshot_sizes(path: Path) -> np.ndarray:
-    sizes = np.loadtxt(path, delimiter=",", skiprows=1, usecols=2, ndmin=1)
+    """The size column of a snapshot file; empty when it holds no row.
+
+    Blank rows are skipped and every other row below the header must parse,
+    so numpy is never handed a table without data (it would warn)."""
+    rows = [row for row in Path(path).read_text().splitlines()[1:] if row.strip()]
+    sizes = (np.loadtxt(rows, delimiter=",", usecols=2, ndmin=1, comments=None)
+             if rows else np.empty(0))
     if not ((sizes >= 0) & (sizes < np.inf)).all():
         raise ValueError("a size is negative or not a finite number")
     return sizes

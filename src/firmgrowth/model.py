@@ -142,18 +142,24 @@ class GrowthBatch:
     """Columnar (size before, size after) records for one iteration.
 
     Records of firms that were empty before the iteration are left out: their
-    growth rate ``size_after / size_before`` is undefined. The batch holds the
-    arrays it is given (float arrays are not copied) and masks them once per
-    read, so a reader that drops small firms as well masks only once.
+    growth rate ``size_after / size_before`` is undefined. The units in
+    ``ended`` died in the iteration, and their records end at 0: the entrant
+    that takes a dead unit's slot is a different firm, and its first size is
+    not growth of the old one. This is the one place a record ends. The
+    batch holds the arrays it is given (float arrays are not copied unless
+    ``ended`` is non-empty) and masks them once per read, so a reader that
+    drops small firms as well masks only once.
     """
 
     __slots__ = ("_before", "_after")
 
-    def __init__(self, size_before, size_after):
+    def __init__(self, size_before, size_after, ended=()):
         before = np.asarray(size_before, dtype=float)
-        after = np.asarray(size_after, dtype=float)
+        after = (np.array if len(ended) else np.asarray)(size_after, dtype=float)
         if before.shape != after.shape:
             raise ValueError("size_before and size_after must have matching shapes")
+        if len(ended):
+            after[ended] = 0.0
         self._before = before
         self._after = after
 
@@ -166,10 +172,6 @@ class GrowthBatch:
     @property
     def size_before(self) -> np.ndarray:
         return self.records()[0]
-
-    @property
-    def size_after(self) -> np.ndarray:
-        return self.records()[1]
 
 
 def required_workers(planned_output, margin: float, wage: float = 1.0, price: float = 1.0):
@@ -422,11 +424,9 @@ def _step_firms_consume(economy: Economy) -> GrowthBatch:
     q_total = float(economy.output.sum())
     economy.market = MarketProbabilities(fill, 1.0, q_total, q_total)
 
-    batch = GrowthBatch(size_before, economy.size)
-
     replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
     economy.time += 1
-    return batch
+    return GrowthBatch(size_before, economy.size, economy.last_replaced)
 
 
 def _step_workers_only_consume(economy: Economy) -> GrowthBatch:
@@ -479,13 +479,8 @@ def _step_workers_only_consume(economy: Economy) -> GrowthBatch:
     economy.sold = sold
     sell = min(1.0, demand_units / supply_units) if supply_units > 0 else 1.0
     economy.market = MarketProbabilities(fill, sell, float(demand_units), float(supply_units))
-
-    # A replaced firm's sales end at zero: the entrant that takes its slot is
-    # a different firm, and its first sales are not growth of the old one.
-    sales_after = sold.copy()
-    sales_after[economy.last_replaced] = 0.0
     economy.time += 1
-    return GrowthBatch(sold_before, sales_after)
+    return GrowthBatch(sold_before, sold, economy.last_replaced)
 
 
 def entrant_sizes(count: int, low: float, high: float, rng: np.random.Generator) -> np.ndarray:
@@ -496,7 +491,8 @@ def entrant_sizes(count: int, low: float, high: float, rng: np.random.Generator)
 
 
 def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
-    """Replace dead firms with entrants; returns the number replaced.
+    """Replace dead firms with entrants; returns the number replaced, and
+    keeps their indices in ``economy.last_replaced``.
 
     Entrant sizes come from :func:`entrant_sizes` over the replacement
     interval. In the firms-consume scenario a firm is dead when its size
@@ -512,23 +508,18 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
     this costs one draw per removed slot instead of one per firm.
     """
     cfg = economy.config
-    lo, hi = cfg.replacement_low, cfg.replacement_high
-
-    if cfg.scenario is Scenario.FIRMS_CONSUME:
-        idx = np.flatnonzero(economy.size == 0)
-        economy.last_replaced = idx
-        if idx.size == 0:
-            return 0
-        economy.size[idx] = entrant_sizes(idx.size, lo, hi, rng)
+    firms_consume = cfg.scenario is Scenario.FIRMS_CONSUME
+    idx = np.flatnonzero((economy.size if firms_consume else economy.job_offer) == 0)
+    economy.last_replaced = idx
+    if idx.size == 0:
+        return 0
+    entrants = entrant_sizes(idx.size, cfg.replacement_low, cfg.replacement_high, rng)
+    if firms_consume:
+        economy.size[idx] = entrants
         economy.output[idx] = 0.0
         economy.sold[idx] = 0.0
         return int(idx.size)
 
-    idx = np.flatnonzero(economy.job_offer == 0)
-    economy.last_replaced = idx
-    if idx.size == 0:
-        return 0
-    entrants = entrant_sizes(idx.size, lo, hi, rng)
     added = int(entrants.sum())
     surviving = economy.job_offer  # the dead firms' offers are 0 already
     available = int(surviving.sum())

@@ -324,7 +324,13 @@ class TestAccumulatorStreaming:
         assert np.array_equal(_growth_bin(g), expected)
 
     def test_growth_batch_drops_empty_firms(self):
-        batch = GrowthBatch([10.0, 0.0, 5.0], [11.0, 3.0, 0.0])
-        assert (batch.size_after / batch.size_before).tolist() == [1.1, 0.0]
+        before, after = GrowthBatch([10.0, 0.0, 5.0], [11.0, 3.0, 0.0]).records()
+        assert (after / before).tolist() == [1.1, 0.0]
         with pytest.raises(ValueError):
             GrowthBatch([1.0, 2.0], [1.0])
+
+    def test_growth_batch_ends_dead_units_at_zero(self):
+        after = np.array([11.0, 3.0, 6.0])
+        _, ends = GrowthBatch([10.0, 2.0, 5.0], after, ended=[1]).records()
+        assert ends.tolist() == [11.0, 0.0, 6.0]
+        assert after.tolist() == [11.0, 3.0, 6.0]  # the caller's array is kept

@@ -70,16 +70,23 @@ def _marsili_law(city_sizes, n_moves, entrant_pmf):
 class TestAdditive:
     def test_zero_noise_is_identity(self):
         sizes = np.array([10.0, 20.0, 30.0])
-        out = step_additive(sizes, 1e-300, substream(1, 0))
+        out, ended = step_additive(sizes, 1e-300, substream(1, 0))
         assert np.allclose(out, sizes)
+        assert ended.size == 0
 
     def test_total_size_conserved(self):
         rng = substream(2, 0)
         sizes = np.full(500, 100.0)
         for _ in range(50):
-            sizes = step_additive(sizes, 5.0, rng)
+            sizes, _ = step_additive(sizes, 5.0, rng)
             assert sizes.sum() == pytest.approx(50_000.0, rel=1e-12)
             assert (sizes > 0).all()
+
+    def test_reports_the_restarted_units(self):
+        sizes = np.full(200, 2.0)
+        out, ended = step_additive(sizes, 2.0, substream(12, 0))
+        pushed = sizes + substream(12, 0).normal(0.0, 2.0, sizes.size)  # the step's draws
+        assert ended.size and np.array_equal(ended, np.flatnonzero(pushed <= 0))
 
     def test_moments_stay_gaussian(self):
         from scipy.stats import kurtosis, skew
@@ -88,7 +95,7 @@ class TestAdditive:
                              seed=3, iterations=1000)
         sizes = cfg.initial_sizes(integer=False)
         for t in range(cfg.iterations):
-            sizes = step_additive(sizes, cfg.sigma, substream(cfg.seed, 0, t))
+            sizes, _ = step_additive(sizes, cfg.sigma, substream(cfg.seed, 0, t))
         assert abs(kurtosis(sizes)) < 0.5
         assert abs(skew(sizes)) < 0.3
 
@@ -98,13 +105,13 @@ class TestMultiplicative:
 
     def test_vanishing_noise_changes_nothing(self):
         sizes = np.array([10, 20, 50], dtype=np.int64)
-        out = step_scaled_beta(sizes, 1e-24, 0.0, substream(4, 0))
+        out, _ = step_scaled_beta(sizes, 1e-24, 0.0, substream(4, 0))
         assert np.abs(out - sizes).max() <= 1
 
     def test_growth_factor_mean_is_one(self):
         rng = substream(5, 0)
         sizes = np.full(50_000, 100, dtype=np.int64)
-        out = step_scaled_beta(sizes, 0.2**2, 0.0, rng)
+        out, _ = step_scaled_beta(sizes, 0.2**2, 0.0, rng)
         g = out / sizes
         se = g.std(ddof=1) / math.sqrt(g.size)
         assert abs(g.mean() - 1.0) < 4 * se
@@ -118,8 +125,13 @@ class TestMultiplicative:
     def test_extinct_units_replaced(self):
         rng = substream(6, 0)
         sizes = np.ones(20_000, dtype=np.int64)
-        out = step_scaled_beta(sizes, 0.9**2, 0.0, rng)
+        out, ended = step_scaled_beta(sizes, 0.9**2, 0.0, rng)
         assert (out >= 1).all()
+        # the reported units are those that rounded to 0, replayed from the step's draws
+        replay = substream(6, 0)
+        grown = np.maximum(1.0 + 0.9 * replay.standard_normal(sizes.size), 0.0)
+        rounded = np.floor(grown) + (replay.random(sizes.size) < grown - np.floor(grown))
+        assert ended.size and np.array_equal(ended, np.flatnonzero(rounded == 0))
 
 
 class TestScaledBeta:
@@ -130,7 +142,7 @@ class TestScaledBeta:
         sizes = np.unique(np.geomspace(10, 20_000, 4000).astype(np.int64))
         before_all, after_all = [], []
         for _ in range(40):
-            after = step_scaled_beta(sizes, c, 0.5, rng)
+            after, _ = step_scaled_beta(sizes, c, 0.5, rng)
             before_all.append(sizes.astype(float))
             after_all.append(after.astype(float))
         acc = analytics.GrowthAccumulator(min_size=1)
@@ -146,7 +158,7 @@ class TestScaledBeta:
         out = {}
         for n in (100, 1000, 10_000, 100_000):
             sizes = np.full(40_000, n, dtype=np.int64)
-            g = step_scaled_beta(sizes, c, 0.5, rng) / n
+            g = step_scaled_beta(sizes, c, 0.5, rng)[0] / n
             out[n] = g.var(ddof=1) * n
         values = np.array(list(out.values()))
         assert values.max() / values.min() < 1.1
@@ -232,12 +244,12 @@ class TestMarsiliSequential:
         before = cfg.initial_sizes()
         for t in range(cfg.iterations):
             assert sim.time == t
-            batch = sim.step()
+            records = sim.step().records()
             expected = step_marsili_sequential(before, 20, substream(15, 0, t),
                                                cfg.replacement_mean)
             assert np.array_equal(sim.size, expected)
-            assert np.array_equal(batch.size_before, before.astype(float))
-            assert np.array_equal(batch.size_after, expected.astype(float))
+            assert np.array_equal(records[0], before.astype(float))
+            assert np.array_equal(records[1], expected.astype(float))
             before = expected
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -333,6 +334,7 @@ class TestMainEntry:
          "sigma**2"),
         ("--preset ScaledBeta --n-units 20 --n-workers 2000 --sigma 1e-170 --iterations 2",
          "sigma**2"),
+        ("--config /nonexistent/run.cfg", "No such file or directory"),
     ], ids=["custom-seed-negative", "custom-seed-wide", "additive-seed-negative",
             "additive-seed-wide", "duplicate-seeds", "wage-nan", "min-size-nan",
             "replacement-low-nan", "margin-inf", "price-minus-inf", "rounding-name",
@@ -340,7 +342,7 @@ class TestMainEntry:
             "marsili-one-worker", "scaled-beta", "margin", "price", "replacement-high",
             "scaled-replacement-mean", "marsili-replacement-mean", "sampler-limit",
             "multiplicative-sigma", "scaled-sigma", "multiplicative-sigma-underflow",
-            "scaled-sigma-underflow"])
+            "scaled-sigma-underflow", "missing-config-file"])
     def test_config_error_writes_nothing(self, flags, message, tmp_path, capsys):
         assert cli.main(["run", *flags.split(), "-o", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err
@@ -421,6 +423,10 @@ class TestMainEntry:
             assert "config error" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "snapshot_t10.csv", "snapshot_t5.csv", "snapshot_tlast.csv"]
+        # a latest snapshot that cannot be read as a file
+        (tmp_path / "snapshot_t20.csv").mkdir()
+        assert cli.main(["analyze", "--input", str(tmp_path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_oracle_pmf_table(self, capsys):
         assert cli.main(["oracle", "pmf", "--size", "1", "--margin", "0.1"]) == 0
@@ -482,38 +488,107 @@ def flag_values(key):
 
 @st.composite
 def tiny_runs(draw):
-    """Flags of one tiny run: a preset with up to 3 of its keys set from
-    small value lists, at most 2 seeds and 2 workers, 1-3 iterations and at
-    most 200 workers (the Marsili step holds one label per worker)."""
+    """Settings of one tiny run, key -> raw value: a preset with up to 3 of
+    its keys set from small value lists, at most 2 seeds and 2 workers, 1-3
+    iterations and at most 200 workers (the Marsili step holds one label per
+    worker)."""
     preset = draw(st.sampled_from(sorted(cli.PRESETS)))
     keys = cli.PRESETS[preset].keys
-    flags = {"preset": preset, "n_firms" if "n_firms" in keys else "n_units": "20",
-             "n_workers": "200", "iterations": draw(st.sampled_from(["1", "2", "3"]))}
+    entries = {"preset": preset, "n_firms" if "n_firms" in keys else "n_units": "20",
+               "n_workers": "200", "iterations": draw(st.sampled_from(["1", "2", "3"]))}
     for key in draw(st.lists(st.sampled_from(sorted(keys - {"iterations"})),
                              max_size=3, unique=True)):
-        flags[key] = draw(st.sampled_from(flag_values(key)))
+        entries[key] = draw(st.sampled_from(flag_values(key)))
     seeds = draw(st.lists(st.sampled_from(INTS), min_size=1, max_size=2, unique=True))
-    flags["seeds"] = ",".join(seeds)
-    flags["workers"] = draw(st.sampled_from(["1", "2"]))
+    entries["seeds"] = ",".join(seeds)
+    entries["workers"] = draw(st.sampled_from(["1", "2"]))
     extra = draw(st.sampled_from([None, "snapshot_times", "min_size"]))
     if extra == "snapshot_times":
-        flags[extra] = draw(st.sampled_from(["1", "1,2", "2,1", "0,1", "3", "5"]))
+        entries[extra] = draw(st.sampled_from(["1", "1,2", "2,1", "0,1", "3", "5"]))
     elif extra == "min_size":
-        flags[extra] = draw(st.sampled_from(FLOATS))
-    return [f"--{key.replace('_', '-')}={value}" for key, value in flags.items()]
+        entries[extra] = draw(st.sampled_from(FLOATS))
+    return entries
+
+
+def assert_exits_cleanly(argv, written):
+    """``cli.main(argv)`` succeeds, or is a config error that leaves no path
+    of ``written`` behind and prints no warning; the one runtime error it
+    may meet is a unit outgrowing an integer."""
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 1:
+        assert not any(path.exists() for path in written), err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+    if code == 2:
+        assert "a unit grew to size" in err.getvalue()
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(tiny_runs())
-def test_any_tiny_run_exits_cleanly(flags):
-    # A run succeeds or is a config error that writes nothing; the one
-    # runtime error it may meet is a unit outgrowing an integer.
+def test_any_tiny_run_exits_cleanly(entries):
     with tempfile.TemporaryDirectory() as tmp:
-        out, err = Path(tmp) / "out", io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["run", *flags, "-o", str(out)])
-        assert code in (0, 1, 2), err.getvalue()
-        if code == 1:
-            assert not out.exists(), err.getvalue()
-        if code == 2:
-            assert "a unit grew to size" in err.getvalue()
+        out = Path(tmp) / "out"
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in entries.items()]
+        assert_exits_cleanly(["run", *flags, "-o", str(out)], [out])
+
+
+# Lines a config file may hold besides its settings: comments and blanks,
+# keys that are unknown or spelled as flags, and malformed lines. The flag
+# -o overrides the output_dir line.
+ODD_LINES = ["# a comment", "", "   ", "output_dir = elsewhere", "banana = 1", "Preset = Custom",
+             "n-workers = 200", "seed", "= 3", "iterations =", "iterations = 2 = 3", "[run]",
+             "\ufeffpreset = Custom", "seeds = ,", "workers = 2 # two processes"]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(tiny_runs(), st.lists(st.tuples(st.integers(0, 20), st.sampled_from(ODD_LINES)),
+                             max_size=3),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_any_config_file_exits_cleanly(entries, odd, newline, undecodable):
+    lines = [f"{key} = {value}" for key, value in entries.items()]
+    for at, line in odd:
+        lines.insert(at, line)
+    text = newline.join(lines).encode() + (b"\xff\n" if undecodable else b"")
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        config.write_bytes(text)
+        assert_exits_cleanly(["run", "--config", str(config), "-o", str(out)], [out])
+
+
+# Snapshot sizes a run may write, and rows a run never writes: short, long,
+# blank, a comment, another delimiter, or a size that is not a finite
+# non-negative number.
+SIZES = ["12", "30", "100", "1000", "10", "2", "1", "3.5", "0", "-0", "1e308", "5e-324"]
+ODD_ROWS = ["5,0", "5,0,9,0,0,0", "", "  ", "# note", "5;0;9;0;0", *(
+    f"5,0,{size},0,0" for size in ["-1", "nan", "inf", "-inf", "1e400", "abc", "", " 7 ", "0x10"])]
+
+
+@st.composite
+def snapshot_bytes(draw):
+    """The bytes of a snapshot file: the header (or none), then rows of
+    ``t,firm_id,size,output,sold`` with drawn sizes, up to two odd rows, and
+    maybe a byte that is not UTF-8."""
+    rows = [f"5,{i},{size},0,0" for i, size in enumerate(
+        draw(st.lists(st.sampled_from(SIZES), max_size=30)))]
+    for at, row in draw(st.lists(st.tuples(st.integers(0, 30), st.sampled_from(ODD_ROWS)),
+                                 max_size=2)):
+        rows.insert(at, row)
+    header = draw(st.sampled_from([["t,firm_id,size,output,sold"], [""], []]))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join([*header, *rows])
+    text += draw(st.sampled_from(["\n", ""]))
+    return text.encode() + draw(st.sampled_from([b"", b"\xff"]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(snapshot_bytes(), st.sampled_from(["snapshot_t5.csv", "snapshot_t0005.csv"]))
+def test_any_snapshot_analyzes_cleanly(data, name):
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshots, out = Path(tmp) / "in", Path(tmp) / "out"
+        snapshots.mkdir()
+        (snapshots / name).write_bytes(data)
+        assert_exits_cleanly(["analyze", "--input", str(snapshots), "--out", str(out)], [out])
+        assert [p.name for p in snapshots.iterdir()] == [name]

@@ -27,7 +27,7 @@ def _one_step_samples(rounding, allocation, reps=6, n=1000, n_firms=10_000, mu=0
                           scenario=Scenario.FIRMS_CONSUME, rounding=rounding,
                           allocation=allocation, seed=1000 + rep, iterations=1)
         economy = Economy(cfg)
-        out.append(economy.step().size_after)
+        out.append(economy.step().records()[1])
     return np.concatenate(out)
 
 
@@ -38,7 +38,7 @@ class TestScenarioI:
         economy = Economy(cfg)
         for _ in range(10):
             batch = economy.step()
-            assert batch.size_after.tolist() == batch.size_before.tolist() == [100.0]
+            assert [r.tolist() for r in batch.records()] == [[100.0], [100.0]]
         assert economy.size.tolist() == [100]
 
     def test_mean_preservation(self):
@@ -138,10 +138,10 @@ class TestScenarioII:
         ended = joined = 0
         for _ in range(cfg.iterations):
             firms = np.flatnonzero(economy.sold > 0)  # order of the growth records
-            sales = economy.step()
+            _, sales_after = economy.step().records()
             replaced = np.isin(firms, economy.last_replaced)
-            ended += int((replaced & (sales.size_after == 0)).sum())
-            joined += int((replaced & (sales.size_after > 0)).sum())
+            ended += int((replaced & (sales_after == 0)).sum())
+            joined += int((replaced & (sales_after > 0)).sum())
         assert ended > 0
         assert joined == 0
 
@@ -328,8 +328,7 @@ class TestDeterminism:
             trace = []
             for _ in range(60):
                 batch = economy.step()
-                trace.append((economy.size.copy(), economy.sold.copy(),
-                              batch.size_before, batch.size_after))
+                trace.append((economy.size.copy(), economy.sold.copy(), *batch.records()))
             return trace
 
         for first, second in zip(run(), run()):
