@@ -121,18 +121,20 @@ def step_scaled_beta(sizes, c: float, beta: float, rng: np.random.Generator,
 
 
 def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
-                            replacement_mean: float = 1.5) -> np.ndarray:
+                            replacement_mean: float = 1.5) -> tuple[np.ndarray, np.ndarray]:
     """Sequential relocation dynamics: one worker moves at a time.
 
     Each elementary move picks a worker uniformly at random, removes it from
     its city, and reassigns it to a city with probability proportional to the
     current (already updated) sizes. A city emptied by a move is refilled
     immediately with an entrant population drawn as in
-    :func:`step_scaled_beta`: each entrant is a worker picked uniformly from
-    all ``total`` workers, the refilled city's own new workers included, and
-    moved there, so the total is conserved exactly. A donor city left empty
-    by this is not refilled; with zero weight it is never picked again.
-    Returns the sizes after the whole batch of moves.
+    :func:`step_scaled_beta`, capped at the spare workers ``total - occupied +
+    1``, where ``occupied`` counts the cities that held a worker when the step
+    began. Each entrant is a donor worker picked uniformly from the cities
+    that hold at least two workers at that moment, never from the city being
+    refilled, and moved there. So the total is conserved exactly, and a city
+    that held a worker before the step holds one after it. Returns the sizes
+    after the whole batch of moves and the indices of the refilled cities.
 
     Workers carry labels ``0 .. total - 1``, laid out city by city in
     ``home`` at the start of the step, and ``moved`` holds the current city
@@ -140,10 +142,11 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     all workers, so its city is picked in proportion to size, and a host
     uniformly from the other ``total - 1`` workers; the mover joins the
     host's city, which is thereby picked in proportion to the sizes after
-    the removal. A refill's donors are labels drawn uniformly from all
-    workers. This is the law stated above, with one lookup per pick. Every
-    mover and host is drawn up front, so the draws differ from one scalar
-    draw per pick in order only.
+    the removal. A refill draws donor labels uniformly from all workers, in
+    batches of twice the entrant count, and skips a label whose city is the
+    refilled one or holds a single worker. This is the law stated above,
+    with one lookup per pick. Every mover and host is drawn up front, so the
+    draws differ from one scalar draw per pick in order only.
     """
     sizes = np.asarray(city_sizes, dtype=np.int64)
     if sizes.size == 0:
@@ -162,6 +165,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     home = np.repeat(np.arange(sizes.size), sizes)
     size = sizes.tolist()
     moved: dict[int, int] = {}
+    refilled: set[int] = set()
     for u, v, home_u, home_v in zip(movers.tolist(), hosts.tolist(),
                                     home[movers].tolist(), home[hosts].tolist()):
         origin = moved.get(u, home_u)
@@ -169,11 +173,16 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         size[origin] -= 1
         size[dest] += 1
         if not size[origin]:
-            entrant = min(int(_entrants(1, replacement_mean, rng)[0]), total - 1)
-            donors = rng.integers(total, size=entrant)
-            for d, home_d in zip(donors.tolist(), home[donors].tolist()):
-                size[moved.get(d, home_d)] -= 1
-                moved[d] = origin
-            size[origin] += entrant
+            entrant = min(int(_entrants(1, replacement_mean, rng)[0]),
+                          total - int(np.count_nonzero(sizes)) + 1)
+            while size[origin] < entrant:
+                donors = rng.integers(total, size=2 * entrant)
+                for d, home_d in zip(donors.tolist(), home[donors].tolist()):
+                    city = moved.get(d, home_d)
+                    if city != origin and size[city] > 1 and size[origin] < entrant:
+                        size[city] -= 1
+                        size[origin] += 1
+                        moved[d] = origin
+            refilled.add(origin)
 
-    return np.array(size, dtype=np.int64)
+    return np.array(size, dtype=np.int64), np.array(sorted(refilled), dtype=np.int64)

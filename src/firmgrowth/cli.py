@@ -271,11 +271,11 @@ class _NoiseProcess:
         self.output = self.sold = np.zeros(cfg.n_units)
 
     def step(self) -> GrowthBatch:
-        cfg, before, ended = self.config, self.size, ()
+        cfg, before = self.config, self.size
         rng, mean = substream(cfg.seed, 0, self.time), cfg.replacement_mean
-        if self.kind == "marsili":  # its refills are not reported yet: their records run on
+        if self.kind == "marsili":
             moves = max(1, round(cfg.move_fraction * cfg.n_workers))
-            self.size = step_marsili_sequential(before, moves, rng, mean)
+            self.size, ended = step_marsili_sequential(before, moves, rng, mean)
         elif self.kind == "additive":
             self.size, ended = step_additive(before, cfg.sigma, rng, mean)
         else:
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "run":
             try:
-                text = args.config.read_text() if args.config else ""
+                text = args.config.read_text(encoding="utf-8-sig") if args.config else ""
             except (OSError, UnicodeError) as exc:
                 raise ConfigError(f"{args.config}: {exc}") from None
             mapping = _parse_lines(text)

@@ -1,6 +1,8 @@
 """Reference noise processes: additive, multiplicative, scaled, sequential."""
 import math
+import signal
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -25,20 +27,23 @@ def _marsili_law(city_sizes, n_moves, entrant_pmf):
     programming over size tuples. A move takes a worker from a city picked in
     proportion to size and places it in a city picked in proportion to the
     sizes after the removal. If that empties the origin, an entrant count is
-    drawn from ``entrant_pmf`` (capped at total - 1), and each entrant is a
-    donor worker picked uniformly from all workers, the origin's new ones
-    included, and moved to the origin."""
+    drawn from ``entrant_pmf``, capped at the spare workers ``total -
+    occupied + 1`` (``occupied`` counts the cities that held a worker when
+    the step began), and each entrant is a donor worker picked uniformly from
+    the other cities that hold at least two workers, and moved to the
+    origin."""
     total = sum(city_sizes)
+    spare = total - sum(1 for s in city_sizes if s) + 1
 
     def donate(law, origin):
         out = defaultdict(float)
         for s, p in law.items():
-            for k, sk in enumerate(s):
-                if sk:
-                    c = list(s)
-                    c[k] -= 1
-                    c[origin] += 1
-                    out[tuple(c)] += p * sk / total
+            donors = {k: sk for k, sk in enumerate(s) if k != origin and sk > 1}
+            for k, sk in donors.items():
+                c = list(s)
+                c[k] -= 1
+                c[origin] += 1
+                out[tuple(c)] += p * sk / sum(donors.values())
         return out
 
     law = {tuple(city_sizes): 1.0}
@@ -59,12 +64,26 @@ def _marsili_law(city_sizes, n_moves, entrant_pmf):
                         continue
                     for entrant, pe in entrant_pmf.items():
                         refill = {tuple(c): q * pe}
-                        for _ in range(min(entrant, total - 1)):
+                        for _ in range(min(entrant, spare)):
                             refill = donate(refill, origin)
                         for r, pr in refill.items():
                             after[r] += pr
         law = after
     return law
+
+
+@contextmanager
+def _time_bound(seconds):
+    """Raise ``TimeoutError`` in the body once ``seconds`` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestAdditive:
@@ -175,22 +194,39 @@ class TestScaledBeta:
 
 class TestMarsiliSequential:
     def test_zero_moves_is_identity(self):
-        sizes = step_marsili_sequential([5, 5, 5], 0, substream(11, 0))
+        sizes, refilled = step_marsili_sequential([5, 5, 5], 0, substream(11, 0))
         assert sizes.tolist() == [5, 5, 5]
+        assert refilled.size == 0
 
     @given(st.lists(st.integers(1, 30), min_size=2, max_size=12),
            st.integers(0, 40), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None)
     def test_population_conserved(self, sizes, moves, seed):
         total = sum(sizes)
-        out = step_marsili_sequential(sizes, min(moves, total), substream(seed, 0))
+        out, _ = step_marsili_sequential(sizes, min(moves, total), substream(seed, 0))
         assert out.sum() == total
+
+    @given(st.lists(st.integers(1, 3), min_size=2, max_size=12),
+           st.sampled_from([0.5, 1.0]), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_no_step_empties_a_city(self, city_sizes, move_fraction, seed):
+        # Tiny cities empty at almost every move. With one worker per city the
+        # only spare worker at a refill is the one that just moved. Each example
+        # runs under a time bound, so a refill that never ends fails here.
+        sizes, total = np.array(city_sizes), sum(city_sizes)
+        moves = max(1, round(move_fraction * total))
+        with _time_bound(10.0):
+            for t in range(20):
+                sizes, refilled = step_marsili_sequential(sizes, moves, substream(seed, 0, t))
+                assert sizes.sum() == total
+                assert (sizes >= 1).all()
+                assert np.array_equal(refilled, np.unique(refilled))
 
     def test_zero_size_city_never_receives_by_choice(self):
         rng = substream(12, 0)
         sizes = np.array([0, 50, 50], dtype=np.int64)
         for _ in range(30):
-            sizes = step_marsili_sequential(sizes, 10, rng)
+            sizes, _ = step_marsili_sequential(sizes, 10, rng)
             assert sizes[0] == 0  # no workers, weight zero, never a destination
 
     def test_emptied_city_is_refilled(self):
@@ -198,10 +234,11 @@ class TestMarsiliSequential:
         sizes = np.array([1, 200], dtype=np.int64)
         seen_refill = False
         for _ in range(50):
-            sizes = step_marsili_sequential(sizes, 5, rng)
+            sizes, refilled = step_marsili_sequential(sizes, 20, rng)
             assert sizes.sum() == 201
             assert (sizes >= 1).all()
-            seen_refill = seen_refill or sizes[0] != 1
+            assert set(refilled.tolist()) <= {0}  # only the small city can empty
+            seen_refill = seen_refill or refilled.size > 0
         assert seen_refill
 
     @pytest.mark.parametrize("city_sizes,moves", [([1, 2, 3], 3), ([1, 1, 4, 0], 4)])
@@ -219,7 +256,7 @@ class TestMarsiliSequential:
         assert sum(law.values()) == pytest.approx(1.0)
         observed = Counter(
             tuple(step_marsili_sequential(city_sizes, moves, substream(19, 0, rep),
-                                          replacement_mean).tolist())
+                                          replacement_mean)[0].tolist())
             for rep in range(reps))
         assert set(observed) <= set(law)
         common = [s for s in law if law[s] * reps >= 5]
@@ -245,8 +282,8 @@ class TestMarsiliSequential:
         for t in range(cfg.iterations):
             assert sim.time == t
             records = sim.step().records()
-            expected = step_marsili_sequential(before, 20, substream(15, 0, t),
-                                               cfg.replacement_mean)
+            expected, _ = step_marsili_sequential(before, 20, substream(15, 0, t),
+                                                  cfg.replacement_mean)
             assert np.array_equal(sim.size, expected)
             assert np.array_equal(records[0], before.astype(float))
             assert np.array_equal(records[1], expected.astype(float))

@@ -1,4 +1,5 @@
 """Config parsing, run orchestration, CSV outputs and exit codes."""
+import codecs
 import contextlib
 import io
 import os
@@ -547,16 +548,30 @@ ODD_LINES = ["# a comment", "", "   ", "output_dir = elsewhere", "banana = 1", "
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(tiny_runs(), st.lists(st.tuples(st.integers(0, 20), st.sampled_from(ODD_LINES)),
                              max_size=3),
-       st.sampled_from(["\n", "\r\n"]), st.booleans())
-def test_any_config_file_exits_cleanly(entries, odd, newline, undecodable):
+       st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+def test_any_config_file_exits_cleanly(entries, odd, newline, undecodable, bom):
     lines = [f"{key} = {value}" for key, value in entries.items()]
     for at, line in odd:
         lines.insert(at, line)
-    text = newline.join(lines).encode() + (b"\xff\n" if undecodable else b"")
+    text = ((codecs.BOM_UTF8 if bom else b"") + newline.join(lines).encode()
+            + (b"\xff\n" if undecodable else b""))
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
         config.write_bytes(text)
         assert_exits_cleanly(["run", "--config", str(config), "-o", str(out)], [out])
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # Some editors save UTF-8 with a leading byte-order mark; the run is the
+    # same as from the file without it.
+    text = b"preset = Additive\nn_units = 20\nn_workers = 200\niterations = 2\n"
+    manifests = []
+    for name, data in (("plain", text), ("bom", codecs.BOM_UTF8 + text)):
+        config, out = tmp_path / f"{name}.cfg", tmp_path / name
+        config.write_bytes(data)
+        assert cli.main(["run", "--config", str(config), "-o", str(out)]) == 0
+        manifests.append((out / "manifest.csv").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 # Snapshot sizes a run may write, and rows a run never writes: short, long,

@@ -13,9 +13,10 @@ from firmgrowth.model import Allocation, Rounding, Scenario
 @st.composite
 def dying_runs(draw):
     """(kind, config) of a tiny 60-iteration run whose units die often: 4-12
-    units of 2-3 workers each, and noise as wide as the sizes."""
+    units of 2-3 workers each, and noise as wide as the sizes (half or all
+    of the workers moved per step in MarsiliSequential)."""
     preset = draw(st.sampled_from(["ScenarioI", "ScenarioII", "Additive", "Multiplicative",
-                                   "ScaledBeta"]))
+                                   "ScaledBeta", "MarsiliSequential"]))
     n = draw(st.integers(4, 12))
     overrides = {"n_workers": n * draw(st.integers(2, 3)), "iterations": 60}
     if cli.PRESETS[preset].kind == "model":
@@ -26,6 +27,8 @@ def dying_runs(draw):
             # sold something can round to no offer and die.
             overrides.update(rounding=draw(st.sampled_from(list(Rounding))),
                              price=draw(st.sampled_from([0.5, 0.8])))
+    elif preset == "MarsiliSequential":
+        overrides.update(n_units=n, move_fraction=draw(st.sampled_from([0.5, 1.0])))
     else:
         sigmas = [2.0, 5.0] if preset == "Additive" else [0.5, 1.0]
         overrides.update(n_units=n, sigma=draw(st.sampled_from(sigmas)))
@@ -55,7 +58,7 @@ def test_a_dead_unit_ends_its_growth_record(run):
     sales = kind == "model" and cfg.scenario is Scenario.WORKERS_ONLY_CONSUME
     ended = 0
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("step_additive", "step_scaled_beta"):
+        for name in ("step_additive", "step_scaled_beta", "step_marsili_sequential"):
             patch.setattr(cli, name, _reporting(getattr(cli, name), reported))
         for _ in range(cfg.iterations):
             held = sim.sold if sales else sim.size
