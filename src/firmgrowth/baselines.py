@@ -163,6 +163,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
     hosts = rng.integers(total - 1, size=n_moves)
     hosts += hosts >= movers  # skip the mover: uniform over the other workers
     home = np.repeat(np.arange(sizes.size), sizes)
+    spare = total - int(np.count_nonzero(sizes)) + 1
     size = sizes.tolist()
     moved: dict[int, int] = {}
     refilled: set[int] = set()
@@ -173,8 +174,7 @@ def step_marsili_sequential(city_sizes, n_moves: int, rng: np.random.Generator,
         size[origin] -= 1
         size[dest] += 1
         if not size[origin]:
-            entrant = min(int(_entrants(1, replacement_mean, rng)[0]),
-                          total - int(np.count_nonzero(sizes)) + 1)
+            entrant = min(int(_entrants(1, replacement_mean, rng)[0]), spare)
             while size[origin] < entrant:
                 donors = rng.integers(total, size=2 * entrant)
                 for d, home_d in zip(donors.tolist(), home[donors].tolist()):

@@ -31,7 +31,11 @@ class ConfigError(ValueError):
     """Invalid configuration input; maps to exit code 1."""
 
 
-# Growth dispersion at size 1 that matches a 10% margin market.
+# ScaledBeta's growth dispersion at size 1, sqrt(mu) / (1 + mu) at mu = 0.1.
+# Its square, mu / (1 + mu)**2 = 0.0826, is the probability of each +-1
+# outcome of a size-1 firm in a per-unit market of margin mu
+# (theory.job_count_pmf_oracle(1, 0.1)): half that market's one-step variance
+# at size 1, 2 mu / (1 + mu)**2 = 0.165.
 _SCALED_SIGMA = math.sqrt(0.1) / 1.1
 
 # The seed is a run key: each seed of a run materializes its own config.

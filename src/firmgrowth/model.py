@@ -292,6 +292,7 @@ class Economy:
         sizes = equal_split(config.n_workers, n)
         w, p = config.wage, config.price
         self.size = sizes
+        # ScenarioII's plan: the job offers of its next market.
         self.job_offer = np.zeros(n, dtype=np.int64)
         self.output = production(sizes, config.margin, w, p)
         # Prior-period sales at their no-shortage expectation; only used to
@@ -310,13 +311,13 @@ class Economy:
         return _step_workers_only_consume(self)
 
 
-def _hire(economy: Economy, t: int, per_unit: bool = False) -> float:
+def _hire(economy: Economy, offers: np.ndarray, t: int, per_unit: bool = False) -> float:
     """The job market of iteration ``t``: the ``n_workers`` workers fill the
-    posted ``job_offer`` slots, drawn only when the offers exceed them. With
-    ``per_unit``, ``job_offer`` holds the firms' sizes and each of their
-    positions is first offered twice with probability ``margin``, the law of
-    :func:`per_unit_offer_array`. Sets ``job_offer``, ``size``, ``employed``
-    and ``output``; returns the fill probability.
+    ``offers`` slots, drawn only when the offers exceed them. With
+    ``per_unit``, ``offers`` are the firms' sizes and each of their positions
+    is first offered twice with probability ``margin``, the law of
+    :func:`per_unit_offer_array`. Assigns new ``size`` and ``output`` arrays
+    and sets ``employed``; returns the fill probability.
 
     The firms fall into two fixed blocks, the first ``n_firms // 2`` and the
     rest. This thread draws only scalars: each block's number of doubled
@@ -333,7 +334,7 @@ def _hire(economy: Economy, t: int, per_unit: bool = False) -> float:
     cfg = economy.config
     seed, n_workers = cfg.seed, cfg.n_workers
     cut = cfg.n_firms // 2
-    units = (economy.job_offer[:cut], economy.job_offer[cut:])
+    units = (offers[:cut], offers[cut:])
     totals = [int(u.sum()) for u in units]
     doubled = [0, 0]
     if per_unit:
@@ -342,7 +343,7 @@ def _hire(economy: Economy, t: int, per_unit: bool = False) -> float:
     total = sum(offered)
     binding = total > n_workers
     if not (per_unit or binding):
-        hired = economy.job_offer.copy()
+        hired = offers.copy()
     else:
         supply, fill = [None, None], None
         if binding and cfg.allocation is Allocation.EXACT_MATCHING:
@@ -364,9 +365,7 @@ def _hire(economy: Economy, t: int, per_unit: bool = False) -> float:
                 second = pending.result()  # the helper is idle again on return
         else:
             first, second = tasks[0](), tasks[1]()
-        (offers0, hired0), (offers1, hired1) = first, second
-        economy.job_offer = np.concatenate((offers0, offers1))
-        hired = np.concatenate((hired0, hired1))
+        hired = np.concatenate((first, second))
     economy.size = hired
     economy.employed = int(hired.sum())
     economy.output = production(hired, cfg.margin, cfg.wage, cfg.price)
@@ -374,7 +373,7 @@ def _hire(economy: Economy, t: int, per_unit: bool = False) -> float:
 
 
 def _block_market(units, total, doubled, offered, supply, fill, offer_rng, hire_rng):
-    """One block's part of the job market: (offers, hires).
+    """One block's part of the job market: its hires.
 
     Its ``doubled`` positions (a uniform subset of the ``total`` in
     ``units``) are offered twice when ``offer_rng`` is given; its ``offered``
@@ -384,10 +383,10 @@ def _block_market(units, total, doubled, offered, supply, fill, offer_rng, hire_
     """
     offers = units if offer_rng is None else units + _spread(units, total, doubled, offer_rng)
     if hire_rng is None:
-        return offers, offers
+        return offers
     if fill is not None:
-        return offers, hire_rng.binomial(offers, fill)
-    return offers, _spread(offers, offered, supply, hire_rng)
+        return hire_rng.binomial(offers, fill)
+    return _spread(offers, offered, supply, hire_rng)
 
 
 def _helper_thread() -> concurrent.futures.ThreadPoolExecutor:
@@ -410,17 +409,19 @@ def _step_firms_consume(economy: Economy) -> GrowthBatch:
     cfg = economy.config
     t = economy.time
 
-    size_before = economy.size.copy()
+    # Not changed in place below: _hire assigns a new size array, the one
+    # replace_extinct writes into.
+    size_before = economy.size
     per_unit = cfg.rounding is Rounding.PER_UNIT
     if per_unit:
-        economy.job_offer = size_before  # _hire draws the doubled positions
+        offers = size_before  # _hire draws the doubled positions
     else:
-        economy.job_offer = round_array(size_before * (1.0 + cfg.margin),
-                                        substream(cfg.seed, OFFER_STREAM, t))
-    fill = _hire(economy, t, per_unit)
+        offers = round_array(size_before * (1.0 + cfg.margin),
+                             substream(cfg.seed, OFFER_STREAM, t))
+    fill = _hire(economy, offers, t, per_unit)
 
     # Demand always suffices here: the whole production is sold.
-    economy.sold = economy.output.copy()
+    economy.sold = economy.output
     q_total = float(economy.output.sum())
     economy.market = MarketProbabilities(fill, 1.0, q_total, q_total)
 
@@ -466,7 +467,7 @@ def _step_workers_only_consume(economy: Economy) -> GrowthBatch:
             economy.job_offer = round_array(workers, substream(cfg.seed, OFFER_STREAM, t))
 
     replace_extinct(economy, substream(cfg.seed, REPLACE_STREAM, t))
-    fill = _hire(economy, t)
+    fill = _hire(economy, economy.job_offer, t)
 
     # Goods are traded in units of one: the fractional production is rounded
     # unbiasedly for the market, while planning keeps the exact quantity
@@ -485,8 +486,8 @@ def _step_workers_only_consume(economy: Economy) -> GrowthBatch:
 
 def entrant_sizes(count: int, low: float, high: float, rng: np.random.Generator) -> np.ndarray:
     """Sizes of ``count`` entrants: uniform on [low, high], rounded
-    probabilistically, and at least 1. Every simulator draws its entrants
-    here; [1, 2] gives sizes in {1, 2} with mean 1.5."""
+    probabilistically, and at least 1. Every simulator but Additive draws its
+    entrants here; [1, 2] gives sizes in {1, 2} with mean 1.5."""
     return np.maximum(round_array(rng.uniform(low, high, count), rng), 1)
 
 

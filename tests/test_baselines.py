@@ -1,14 +1,13 @@
 """Reference noise processes: additive, multiplicative, scaled, sequential."""
 import math
 import signal
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as sps
 
 from firmgrowth import (
     BaselineConfig,
@@ -20,6 +19,8 @@ from firmgrowth import (
     step_scaled_beta,
 )
 from firmgrowth.rng import substream
+
+from exact_law import assert_follows_law
 
 
 def _marsili_law(city_sizes, n_moves, entrant_pmf):
@@ -249,24 +250,12 @@ class TestMarsiliSequential:
     def test_final_sizes_follow_exact_law(self, city_sizes, moves, replacement_mean,
                                           entrant_pmf):
         # Tiny cities empty often, so refills and donor draws carry much of the
-        # law. The p-value threshold 1e-3 is fixed in advance; final-size
-        # tuples expected fewer than 5 times are pooled into one bin.
-        reps = 20_000
-        law = _marsili_law(city_sizes, moves, entrant_pmf)
-        assert sum(law.values()) == pytest.approx(1.0)
-        observed = Counter(
-            tuple(step_marsili_sequential(city_sizes, moves, substream(19, 0, rep),
-                                          replacement_mean)[0].tolist())
-            for rep in range(reps))
-        assert set(observed) <= set(law)
-        common = [s for s in law if law[s] * reps >= 5]
-        rare = [s for s in law if law[s] * reps < 5]
-        expected = [law[s] * reps for s in common]
-        counts = [observed[s] for s in common]
-        if rare:
-            expected.append(sum(law[s] for s in rare) * reps)
-            counts.append(sum(observed[s] for s in rare))
-        assert sps.chisquare(counts, expected).pvalue > 1e-3
+        # law.
+        assert_follows_law(
+            (tuple(step_marsili_sequential(city_sizes, moves, substream(19, 0, rep),
+                                           replacement_mean)[0].tolist())
+             for rep in range(20_000)),
+            _marsili_law(city_sizes, moves, entrant_pmf))
 
     def test_too_many_moves_rejected(self):
         with pytest.raises(ValueError):

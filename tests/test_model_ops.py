@@ -1,13 +1,10 @@
 """Unit tests for the per-firm accounting operations and market primitives."""
-import collections
-import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats as sps
 
 from firmgrowth import (
     Allocation,
@@ -19,6 +16,8 @@ from firmgrowth import (
 )
 from firmgrowth.model import _hypergeometric_method
 from firmgrowth.rng import substream
+
+from exact_law import assert_follows_law, hypergeometric_law
 
 
 def freq_se(p, n):
@@ -137,28 +136,15 @@ class TestAllocateMarket:
         ([40, 50, 45], 90, "marginals"),
     ])
     def test_exact_matching_follows_multivariate_hypergeometric(self, claims, supply, method):
-        # The served counts must follow prod_i C(d_i, k_i) / C(D, supply);
-        # outcomes expected fewer than 5 times are pooled into one cell.
+        # The served counts must follow prod_i C(d_i, k_i) / C(D, supply).
         total = sum(claims)
         k_min = min(supply, total - supply)
         assert _hypergeometric_method(total, k_min, len(claims)) == method
-        reps = 20_000
         rng = substream(23, len(claims), supply)
-        observed = collections.Counter(
-            tuple(allocate_market(claims, supply, Allocation.EXACT_MATCHING, rng).tolist())
-            for _ in range(reps))
-        support = [k for k in itertools.product(*(range(d + 1) for d in claims))
-                   if sum(k) == supply]
-        assert set(observed) <= set(support)
-        ways = math.comb(total, supply)
-        expected = reps * np.array([math.prod(map(math.comb, claims, k)) / ways
-                                    for k in support])
-        counts = np.array([observed[k] for k in support])
-        small = expected < 5
-        if small.any():
-            counts = np.append(counts[~small], counts[small].sum())
-            expected = np.append(expected[~small], expected[small].sum())
-        assert sps.chisquare(counts, expected).pvalue > 1e-3
+        assert_follows_law(
+            (tuple(allocate_market(claims, supply, Allocation.EXACT_MATCHING, rng).tolist())
+             for _ in range(20_000)),
+            hypergeometric_law(claims, supply))
 
     def test_sampler_follows_urn_shape(self):
         # ScenarioII's goods urn: 2,000 firms, about 99k units, 9k unsold.

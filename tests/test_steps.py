@@ -1,5 +1,5 @@
-"""Iteration-level behavior of both scarcity scenarios."""
-import collections
+"""Iteration-level behavior of both scarcity scenarios, and of every
+simulator's step."""
 import itertools
 import math
 
@@ -13,10 +13,13 @@ from firmgrowth import (
     ModelConfig,
     Rounding,
     Scenario,
+    cli,
     model,
     replace_extinct,
 )
 from firmgrowth.rng import substream
+
+from exact_law import assert_follows_law, hypergeometric_law
 
 
 def _one_step_samples(rounding, allocation, reps=6, n=1000, n_firms=10_000, mu=0.1):
@@ -227,28 +230,20 @@ class TestReplacement:
         # Every entrant has size 2, so k = 2 * (dead firms) slots are removed.
         # The removed counts must follow the exact pmf
         # prod_i C(n_i, r_i) / C(N, k) over the surviving offers n_i.
-        reps = 20_000
         cfg = ModelConfig(n_firms=len(offers), n_workers=10, margin=0.1,
                           scenario=Scenario.WORKERS_ONLY_CONSUME,
                           replacement_low=2.0, replacement_high=2.0, seed=17)
         economy = Economy(cfg)
         offers = np.array(offers, dtype=np.int64)
         alive = offers > 0
-        k = 2 * int((~alive).sum())
-        observed = {}
-        for rep in range(reps):
+
+        def removed(rep):
             economy.job_offer = offers.copy()
             replace_extinct(economy, substream(17, 99, rep))
-            removed = tuple((offers - economy.job_offer)[alive].tolist())
-            observed[removed] = observed.get(removed, 0) + 1
-        n = offers[alive].tolist()
-        support = [r for r in itertools.product(*(range(m + 1) for m in n))
-                   if sum(r) == k]
-        pmf = [math.prod(math.comb(m, x) for m, x in zip(n, r)) / math.comb(sum(n), k)
-               for r in support]
-        assert set(observed) <= set(support)
-        counts = [observed.get(r, 0) for r in support]
-        assert sps.chisquare(counts, np.array(pmf) * reps).pvalue > 1e-3
+            return tuple((offers - economy.job_offer)[alive].tolist())
+
+        assert_follows_law(map(removed, range(20_000)),
+                           hypergeometric_law(offers[alive].tolist(), 2 * int((~alive).sum())))
 
 
 class TestBlockMarket:
@@ -256,31 +251,22 @@ class TestBlockMarket:
     drawn on the helper thread."""
 
     @staticmethod
-    def chisquare_pvalue(units, n_workers, allocation, per_unit, pmf, reps=10_000):
-        """p-value of ``reps`` draws of ``_hire`` on the posted ``units`` against
-        ``pmf(outcome)``: the hires, or with ``per_unit`` the doubled positions.
-        Outcomes expected fewer than 5 times are pooled into one cell."""
+    def outcomes(units, n_workers, allocation, per_unit, reps=10_000):
+        """``reps`` draws of ``_hire`` on the posted ``units``: the hires, or
+        with ``per_unit`` the doubled positions."""
         cfg = ModelConfig(n_firms=len(units), n_workers=n_workers, margin=0.3,
                           allocation=allocation, seed=21)
         economy = Economy(cfg)
         units = np.array(units, dtype=np.int64)
-        observed = collections.Counter()
         for t in range(reps):
-            economy.job_offer = units.copy()
-            model._hire(economy, t, per_unit)
-            outcome = economy.job_offer - units if per_unit else economy.size
-            observed[tuple(outcome.tolist())] += 1
-        support = [k for k in itertools.product(*(range(u + 1) for u in units.tolist()))
-                   if pmf(k) > 0]
-        assert set(observed) <= set(support)
-        expected = np.array([pmf(k) for k in support]) * reps
-        assert expected.sum() == pytest.approx(reps)
-        counts = np.array([observed[k] for k in support])
-        small = expected < 5
-        if small.any():
-            counts = np.append(counts[~small], counts[small].sum())
-            expected = np.append(expected[~small], expected[small].sum())
-        return sps.chisquare(counts, expected).pvalue
+            model._hire(economy, units, t, per_unit)
+            yield tuple((economy.size - units if per_unit else economy.size).tolist())
+
+    @staticmethod
+    def binomial_law(trials, p):
+        """The pmf of independent Binomial(n_i, p) counts over ``trials``."""
+        return {k: math.prod(sps.binom.pmf(x, n, p) for x, n in zip(k, trials))
+                for k in itertools.product(*(range(n + 1) for n in trials))}
 
     @pytest.fixture(autouse=True)
     def helper_on(self, monkeypatch):
@@ -290,31 +276,20 @@ class TestBlockMarket:
         # blocks [2, 1] | [3, 2]: a hypergeometric split of the 5 workers,
         # then one urn per block, is the one urn of all 8 offers
         offers = [2, 1, 3, 2]
-
-        def pmf(k):
-            if sum(k) != 5:
-                return 0.0
-            return math.prod(map(math.comb, offers, k)) / math.comb(8, 5)
-
-        assert self.chisquare_pvalue(offers, 5, Allocation.EXACT_MATCHING, False, pmf) > 1e-3
+        assert_follows_law(self.outcomes(offers, 5, Allocation.EXACT_MATCHING, False),
+                           hypergeometric_law(offers, 5))
 
     def test_independent_binomial_fills_each_offer(self):
         offers = [2, 1, 3, 2]
-
-        def pmf(k):
-            return math.prod(sps.binom.pmf(x, d, 5 / 8) for x, d in zip(k, offers))
-
-        assert self.chisquare_pvalue(offers, 5, Allocation.INDEPENDENT_BINOMIAL, False,
-                                     pmf) > 1e-3
+        assert_follows_law(self.outcomes(offers, 5, Allocation.INDEPENDENT_BINOMIAL, False),
+                           self.binomial_law(offers, 5 / 8))
 
     def test_positions_double_independently(self):
-        # 20 workers exceed every offer, so no hire is drawn
+        # 20 workers exceed every offer (at most 14), so no hire is drawn and
+        # the hires are the doubled offers
         sizes = [1, 2, 1, 3]
-
-        def pmf(k):
-            return math.prod(sps.binom.pmf(x, n, 0.3) for x, n in zip(k, sizes))
-
-        assert self.chisquare_pvalue(sizes, 20, Allocation.EXACT_MATCHING, True, pmf) > 1e-3
+        assert_follows_law(self.outcomes(sizes, 20, Allocation.EXACT_MATCHING, True),
+                           self.binomial_law(sizes, 0.3))
 
 
 class TestDeterminism:
@@ -355,6 +330,38 @@ class TestDeterminism:
         assert np.array_equal(a.last_replaced, b.last_replaced)
         assert np.array_equal(a.job_offer[a.last_replaced], b.job_offer[b.last_replaced])
         assert not np.array_equal(a.sold, b.sold)
+
+
+@pytest.mark.parametrize("preset,overrides", [
+    *(pytest.param(scenario, dict(n_firms=6, margin=1.0, rounding=rounding,
+                                  allocation=allocation,
+                                  **({"price": 0.5} if scenario == "ScenarioII" else {})),
+                   id=f"{scenario}-{rounding.value}-{allocation.value}")
+      for scenario in ("ScenarioI", "ScenarioII")
+      for rounding in Rounding for allocation in Allocation),
+    pytest.param("Additive", dict(n_units=6, sigma=5.0), id="Additive"),
+    pytest.param("Multiplicative", dict(n_units=6, sigma=1.0), id="Multiplicative"),
+    pytest.param("MarsiliSequential", dict(n_units=6, move_fraction=1.0),
+                 id="MarsiliSequential"),
+])
+def test_a_step_never_writes_into_arrays_it_handed_out(preset, overrides):
+    # A caller may keep what a step hands out, size, output, sold and the
+    # batch's records, without copying it, and the next step starts its own
+    # records from the size or sales it handed out last; so a step must assign
+    # new arrays rather than write into those. Six units of two workers each
+    # die often, so replacement runs too.
+    spec = cli.RunSpec(preset=preset, overrides=dict(overrides, n_workers=12, iterations=30))
+    kind, cfg = cli.materialize(spec, 7)
+    sim, died = cli._simulator(kind, cfg), 0
+    held = copies = ()
+    for _ in range(cfg.iterations):
+        batch = sim.step()
+        for array, copy in zip(held, copies):
+            assert np.array_equal(array, copy)
+        held = (sim.size, sim.output, sim.sold, *batch.records(1))
+        copies = [array.copy() for array in held]
+        died += int((batch.records()[1] == 0).sum())
+    assert died > 0
 
 
 class TestConfigValidation:
