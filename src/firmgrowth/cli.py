@@ -9,7 +9,6 @@ tables.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import enum
 import math
 import re
@@ -209,6 +208,10 @@ def materialize(spec: RunSpec, seed: int):
             cfg = BaselineConfig(**merged)
             if preset.kind == "marsili" and cfg.n_workers < 2:
                 raise ValueError("n_workers must be at least 2 for a worker to move")
+            # One step's noise on one unit may not exceed the total that the
+            # step's rescale conserves.
+            if preset.kind == "additive" and cfg.sigma > cfg.n_workers:
+                raise ValueError("sigma must be at most n_workers")
             if preset.kind == "scaled" and not 0 < cfg.sigma * cfg.sigma < math.inf:
                 raise ValueError("sigma**2, the growth variance at size 1, "
                                  "overflows or underflows a float")
@@ -331,6 +334,8 @@ def run(spec: RunSpec) -> int:
     # A forked pool starts all its workers at the first submit: no more than seeds.
     workers = min(spec.workers, len(spec.seeds))
     if workers > 1:
+        import concurrent.futures  # only a run with a worker pool needs it
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {s: pool.submit(_seed_job, spec, *configs[s]) for s in spec.seeds}
             for seed, fut in futures.items():

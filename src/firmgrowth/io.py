@@ -14,6 +14,10 @@ import numpy as np
 
 from .analytics import FitResult, Histogram, SizeBinStats
 
+# write_snapshot formats and writes this many rows at a time, so its memory
+# does not grow with the table; a 2,000-row ScenarioII snapshot is one block.
+_BLOCK_ROWS = 2048
+
 
 def fmt(x) -> str:
     """Render a number with 9 significant digits."""
@@ -37,26 +41,31 @@ def _int_column(col: np.ndarray) -> bool:
 
 
 def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
-    # "%.9g" renders a float as fmt() does, so one format over the whole
-    # table writes the same bytes as fmt() per field; "%d" on Python ints
-    # writes the columns that allow it faster.
-    n = np.size(sizes)
-    formats, fields = ["%d"], [None] * (4 * n)
-    fields[0::4] = range(n)
-    for j, col in enumerate((sizes, outputs, solds), start=1):
-        col = np.asarray(col)
-        if col.dtype.kind != "i":
-            col = col.astype(float, copy=False)
-        if _int_column(col):
-            formats.append("%d")
-            fields[j::4] = col.astype(np.int64).tolist()
-        else:
-            formats.append("%.9g")
-            fields[j::4] = col.astype(float, copy=False).tolist()
-    row = f"{t}," + ",".join(formats) + "\n"
-    body = (row * n) % tuple(fields)
+    # "%.9g" renders a float as fmt() does, so one format over a block of
+    # rows writes the same bytes as fmt() per field; "%d" on Python ints
+    # writes the columns that allow it faster. Each block picks its own
+    # formats, and "%d" only where it writes what "%.9g" would, so the bytes
+    # do not depend on where a block starts.
+    columns = [np.asarray(col) for col in (sizes, outputs, solds)]
+    n = columns[0].size
     with open(path, "w", newline="") as fh:
-        fh.write("t,firm_id,size,output,sold\n" + body)
+        fh.write("t,firm_id,size,output,sold\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n)
+            formats, fields = ["%d"], [None] * (4 * (stop - start))
+            fields[0::4] = range(start, stop)
+            for j, col in enumerate(columns, start=1):
+                block = col[start:stop]
+                if block.dtype.kind != "i":
+                    block = block.astype(float, copy=False)
+                if _int_column(block):
+                    formats.append("%d")
+                    fields[j::4] = block.astype(np.int64).tolist()
+                else:
+                    formats.append("%.9g")
+                    fields[j::4] = block.astype(float, copy=False).tolist()
+            row = f"{t}," + ",".join(formats) + "\n"
+            fh.write((row * (stop - start)) % tuple(fields))
 
 
 def read_snapshot_sizes(path: Path) -> np.ndarray:

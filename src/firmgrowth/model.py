@@ -17,10 +17,8 @@ average, and realized profits feed back into the next production plan.
 """
 from __future__ import annotations
 
-import concurrent.futures
 import enum
 import functools
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -28,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import substream
-
-log = logging.getLogger(__name__)
 
 # Stream ids for per-iteration substreams. Fixed so that switching the
 # allocation mode or the rounding scheme cannot shift the draws that the
@@ -47,9 +43,10 @@ REPLACE_STREAM = 4
 # a helper thread (see _hire); smaller ones draw both blocks inline, where the
 # handoff would cost more than the draw it moves.
 _HELPER_MIN_FIRMS = 2048
-# (pid, executor) of this process's helper thread, started by the first market
-# that uses it. A forked child has no thread of its parent and starts its own.
-_helper: tuple[int, concurrent.futures.ThreadPoolExecutor] | None = None
+# (pid, ThreadPoolExecutor) of this process's helper thread, started by the
+# first market that uses it. A forked child has no thread of its parent and
+# starts its own.
+_helper = None
 
 
 class Scenario(enum.Enum):
@@ -292,8 +289,6 @@ class Economy:
         sizes = equal_split(config.n_workers, n)
         w, p = config.wage, config.price
         self.size = sizes
-        # ScenarioII's plan: the job offers of its next market.
-        self.job_offer = np.zeros(n, dtype=np.int64)
         self.output = production(sizes, config.margin, w, p)
         # Prior-period sales at their no-shortage expectation; only used to
         # seed the first planning step and the first sales growth record.
@@ -389,10 +384,13 @@ def _block_market(units, total, doubled, offered, supply, fill, offer_rng, hire_
     return _spread(offers, offered, supply, hire_rng)
 
 
-def _helper_thread() -> concurrent.futures.ThreadPoolExecutor:
-    """This process's one helper thread, started on first use."""
+def _helper_thread():
+    """This process's one helper thread, a ``ThreadPoolExecutor`` started on
+    first use."""
     global _helper
     if _helper is None or _helper[0] != os.getpid():
+        import concurrent.futures  # only markets that use the helper need it
+
         _helper = (os.getpid(), concurrent.futures.ThreadPoolExecutor(
             1, thread_name_prefix="firmgrowth-market"))
     return _helper[1]
@@ -517,8 +515,8 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
     entrants = entrant_sizes(idx.size, cfg.replacement_low, cfg.replacement_high, rng)
     if firms_consume:
         economy.size[idx] = entrants
+        # An entrant has produced nothing yet; the step's sold is this array.
         economy.output[idx] = 0.0
-        economy.sold[idx] = 0.0
         return int(idx.size)
 
     added = int(entrants.sum())
@@ -526,7 +524,9 @@ def replace_extinct(economy: Economy, rng: np.random.Generator) -> int:
     available = int(surviving.sum())
     removed_total = min(added, available)
     if removed_total < added:
-        log.warning(
+        import logging  # only this rare warning needs it
+
+        logging.getLogger(__name__).warning(
             "entrant offers (%d) exceed surviving job offers (%d); removal clamped",
             added, available,
         )

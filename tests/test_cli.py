@@ -1,5 +1,6 @@
 """Config parsing, run orchestration, CSV outputs and exit codes."""
 import codecs
+import concurrent.futures
 import contextlib
 import io
 import os
@@ -9,7 +10,6 @@ import sys
 import tempfile
 import typing
 import warnings
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -138,14 +138,14 @@ def inline_pool(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = concurrent.futures.Future()
             try:
                 future.set_result(fn(*args))
             except Exception as exc:  # noqa: BLE001 - the future carries it
                 future.set_exception(exc)
             return future
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes
 
 
@@ -335,6 +335,8 @@ class TestMainEntry:
          "sigma**2"),
         ("--preset ScaledBeta --n-units 20 --n-workers 2000 --sigma 1e-170 --iterations 2",
          "sigma**2"),
+        ("--preset Additive --sigma 1e200 --n-units 50 --n-workers 5000 --iterations 20",
+         "sigma must be at most n_workers"),
         ("--config /nonexistent/run.cfg", "No such file or directory"),
     ], ids=["custom-seed-negative", "custom-seed-wide", "additive-seed-negative",
             "additive-seed-wide", "duplicate-seeds", "wage-nan", "min-size-nan",
@@ -343,7 +345,7 @@ class TestMainEntry:
             "marsili-one-worker", "scaled-beta", "margin", "price", "replacement-high",
             "scaled-replacement-mean", "marsili-replacement-mean", "sampler-limit",
             "multiplicative-sigma", "scaled-sigma", "multiplicative-sigma-underflow",
-            "scaled-sigma-underflow", "missing-config-file"])
+            "scaled-sigma-underflow", "additive-sigma", "missing-config-file"])
     def test_config_error_writes_nothing(self, flags, message, tmp_path, capsys):
         assert cli.main(["run", *flags.split(), "-o", str(tmp_path)]) == 1
         assert message in capsys.readouterr().err

@@ -27,6 +27,17 @@ class TestWriteSnapshot:
         io.write_snapshot(path, 40, sizes, outputs, solds)
         assert path.read_bytes() == reference_snapshot(40, sizes, outputs, solds).encode()
 
+        # Tables at the block edges. The output column is whole numbers that
+        # "%d" writes, but for one value that needs "%.9g" in the last block.
+        block = io._BLOCK_ROWS
+        for i, n in enumerate([0, 1, block - 1, block, block + 1, 2 * block + 1]):
+            sizes = rng.integers(0, 10**6, n)
+            outputs = rng.integers(-10**6, 10**6, n).astype(float)
+            outputs[-1:] = [1e9, -0.0, np.nan][i % 3]
+            solds = rng.random(n) * 100.0
+            io.write_snapshot(path, 3, sizes, outputs, solds)
+            assert path.read_bytes() == reference_snapshot(3, sizes, outputs, solds).encode()
+
     # Columns written with "%d" (integral, below 1e9 in magnitude, no -0.0)
     # and columns that fall back to "%.9g" for one value.
     WHOLE = np.array([0.0, 1.0, -7.0, 123456789.0, 999_999_999.0, -999_999_999.0])

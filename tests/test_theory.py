@@ -111,11 +111,14 @@ def test_cli_import_leaves_scipy_unloaded():
     # multiprocessing loaded: only a run with a worker pool needs it. Nor is
     # numpy.random: the first stream of a run imports it. Nor has a thread
     # started, even once an Economy is built: a market starts its helper.
+    # Nor are concurrent.futures and logging loaded: the helper, a worker
+    # pool and the clamped-offer warning import them where they are used.
     src = str(Path(firmgrowth.__file__).parents[1])
     code = ("import sys, firmgrowth.cli; print(any(m.split('.')[0] in ('scipy', "
             "'multiprocessing') or m.startswith('numpy.random') for m in sys.modules)); "
             "import threading; from firmgrowth.model import Economy, ModelConfig; "
-            "Economy(ModelConfig()); print(threading.active_count())")
+            "Economy(ModelConfig()); print(threading.active_count(), any(m.split('.')[0] "
+            "in ('concurrent', 'logging') for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "1"]
+    assert out.stdout.split() == ["False", "1", "False"]
