@@ -113,10 +113,21 @@ def default_tail_range(snapshot: SizeSnapshot) -> tuple[float, float]:
     finite-size cutoff and measures the cutoff rather than the scaling
     region. The window therefore starts at ``max(_TAIL_FLOOR, 25th
     percentile)`` and spans one decade.
+
+    The percentile is ``np.percentile(sizes, 25.0)`` bit for bit, read off
+    the descending order that :meth:`SizeSnapshot.from_values` guarantees
+    (``np.percentile`` would import ``numpy.ma`` for it): virtual index
+    (n - 1) / 4 in ascending order, then numpy's linear interpolation, which
+    counts from the upper neighbour once the fraction reaches 0.5.
     """
-    if len(snapshot) < 8:
+    n = len(snapshot)
+    if n < 8:
         raise ValueError("too few sizes to place a tail window")
-    low = max(_TAIL_FLOOR, float(np.percentile(snapshot.sizes, 25.0)))
+    i, quarters = divmod(n - 1, 4)
+    gamma = quarters / 4
+    a, b = float(snapshot.sizes[n - 1 - i]), float(snapshot.sizes[n - 2 - i])
+    quartile = a + (b - a) * gamma if gamma < 0.5 else b - (b - a) * (1 - gamma)
+    low = max(_TAIL_FLOOR, quartile)
     return (low, 10.0 * low)
 
 

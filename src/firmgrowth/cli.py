@@ -8,7 +8,6 @@ tables.
 """
 from __future__ import annotations
 
-import argparse
 import enum
 import math
 import re
@@ -389,8 +388,8 @@ def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
     return 0
 
 
-def oracle(what: str, args: argparse.Namespace) -> int:
-    """Print oracle tables as CSV on stdout."""
+def oracle(what: str, args) -> int:
+    """Print oracle tables as CSV on stdout; ``args`` holds the parsed flags."""
     try:  # the oracles reject parameters outside their domain
         if what == "pmf":
             values = theory.job_count_pmf_oracle(args.size, args.margin)
@@ -408,12 +407,13 @@ def oracle(what: str, args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems are config errors, exit code 1
-        raise ConfigError(message)
+def _build_parser():
+    import argparse  # only the command line needs it, not run() as a library
 
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage problems are config errors, exit code 1
+            raise ConfigError(message)
 
-def _build_parser() -> _Parser:
     parser = _Parser(prog="firmgrowth",
                      description="Firm growth simulations and distribution analytics")
     sub = parser.add_subparsers(dest="command", required=True)

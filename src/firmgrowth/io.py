@@ -45,7 +45,9 @@ def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
     # rows writes the same bytes as fmt() per field; "%d" on Python ints
     # writes the columns that allow it faster. Each block picks its own
     # formats, and "%d" only where it writes what "%.9g" would, so the bytes
-    # do not depend on where a block starts.
+    # do not depend on where a block starts. A column that is the array of
+    # the column before it (ScenarioI's sold is its output, a noise process's
+    # output is its sold) reuses that column's format and values.
     columns = [np.asarray(col) for col in (sizes, outputs, solds)]
     n = columns[0].size
     with open(path, "w", newline="") as fh:
@@ -55,15 +57,16 @@ def write_snapshot(path: Path, t: int, sizes, outputs, solds) -> None:
             formats, fields = ["%d"], [None] * (4 * (stop - start))
             fields[0::4] = range(start, stop)
             for j, col in enumerate(columns, start=1):
-                block = col[start:stop]
-                if block.dtype.kind != "i":
-                    block = block.astype(float, copy=False)
-                if _int_column(block):
-                    formats.append("%d")
-                    fields[j::4] = block.astype(np.int64).tolist()
-                else:
-                    formats.append("%.9g")
-                    fields[j::4] = block.astype(float, copy=False).tolist()
+                if j == 1 or col is not columns[j - 2]:
+                    block = col[start:stop]
+                    if block.dtype.kind != "i":
+                        block = block.astype(float, copy=False)
+                    if _int_column(block):
+                        form, values = "%d", block.astype(np.int64).tolist()
+                    else:
+                        form, values = "%.9g", block.astype(float, copy=False).tolist()
+                formats.append(form)
+                fields[j::4] = values
             row = f"{t}," + ",".join(formats) + "\n"
             fh.write((row * (stop - start)) % tuple(fields))
 

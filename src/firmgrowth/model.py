@@ -43,9 +43,9 @@ REPLACE_STREAM = 4
 # a helper thread (see _hire); smaller ones draw both blocks inline, where the
 # handoff would cost more than the draw it moves.
 _HELPER_MIN_FIRMS = 2048
-# (pid, ThreadPoolExecutor) of this process's helper thread, started by the
-# first market that uses it. A forked child has no thread of its parent and
-# starts its own.
+# (pid, task queue, result queue) of this process's helper thread, started by
+# the first market that uses it. A forked child has no thread of its parent
+# and starts its own.
 _helper = None
 
 
@@ -353,11 +353,14 @@ def _hire(economy: Economy, offers: np.ndarray, t: int, per_unit: bool = False) 
             substream(seed, JOB_MARKET_STREAM, b, t) if binding and units[b].size else None)
             for b in (0, 1)]
         if cfg.n_firms >= _HELPER_MIN_FIRMS:
-            pending = _helper_thread().submit(tasks[1])
+            todo, done = _helper_thread()
+            todo.put(tasks[1])
             try:
                 first = tasks[0]()
             finally:
-                second = pending.result()  # the helper is idle again on return
+                ok, second = done.get()  # the helper is idle again on return
+            if not ok:
+                raise second
         else:
             first, second = tasks[0](), tasks[1]()
         hired = np.concatenate((first, second))
@@ -385,15 +388,27 @@ def _block_market(units, total, doubled, offered, supply, fill, offer_rng, hire_
 
 
 def _helper_thread():
-    """This process's one helper thread, a ``ThreadPoolExecutor`` started on
-    first use."""
+    """The task and result queues of this process's one helper thread,
+    started on first use: a daemon that runs each task put on the first queue
+    and puts ``(True, result)``, or ``(False, exception)``, on the second."""
     global _helper
     if _helper is None or _helper[0] != os.getpid():
-        import concurrent.futures  # only markets that use the helper need it
+        import queue  # only markets that use the helper need it
+        import threading
 
-        _helper = (os.getpid(), concurrent.futures.ThreadPoolExecutor(
-            1, thread_name_prefix="firmgrowth-market"))
-    return _helper[1]
+        _helper = (os.getpid(), queue.SimpleQueue(), queue.SimpleQueue())
+        threading.Thread(target=_serve, args=_helper[1:], name="firmgrowth-market",
+                         daemon=True).start()
+    return _helper[1:]
+
+
+def _serve(todo, done):
+    while True:
+        task = todo.get()
+        try:
+            done.put((True, task()))
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the caller
+            done.put((False, exc))
 
 
 def _step_firms_consume(economy: Economy) -> GrowthBatch:

@@ -98,9 +98,25 @@ class TestTailFits:
         assert high == pytest.approx(10 * low)
 
     def test_default_window_follows_large_populations(self):
-        sizes = np.geomspace(300, 90_000, 500)
-        low, high = default_tail_range(SizeSnapshot.from_values(sizes))
-        assert low == pytest.approx(np.percentile(sizes, 25))
+        # the window starts at numpy's 25th percentile bit for bit: n = 8,
+        # 9, 10 and 11 give each fraction of the virtual index (n - 1) / 4
+        rng = np.random.default_rng(29)
+        inputs = [np.geomspace(300, 90_000, 500)]
+        inputs += [rng.random(n) * 1e4 + 10.0 for n in (8, 9, 10, 11)]
+        inputs += [rng.integers(11, 15, n).astype(float) for n in (8, 9, 10, 11, 40)]
+        inputs += [2.0**53 - rng.integers(0, 64, n).astype(float) for n in (8, 9, 10, 11)]
+        # the quartile between 12.9 and 21.3 (n = 8), 12.9 and 33.3 (n = 11)
+        # and 11.7 and 47.9 (n = 10): numpy's lerp differs in the last bit
+        # from a + (b - a)·γ at the first two and from b - (b - a)·(1 - γ) at
+        # the third
+        tail = [1e15, 1e15 + 0.125, 2.0**52, 60.0, 70.0]
+        inputs += [np.array([10.5, 12.9, 21.3, *tail]),
+                   np.array([10.5, 11.0, 12.9, 33.3, 40.0, 50.0, *tail]),
+                   np.array([10.5, 11.0, 11.7, 47.9, 50.0, *tail])]
+        for sizes in inputs:
+            low, high = default_tail_range(SizeSnapshot.from_values(sizes))
+            assert low == np.percentile(sizes, 25) > 10.0
+            assert high == 10 * low
 
 
 class TestGrowthHistogram:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import typing
 import warnings
 from pathlib import Path
@@ -185,6 +186,32 @@ class TestRun:
             monkeypatch.setattr(model, "_HELPER_MIN_FIRMS", threshold)
             run(RunSpec(preset="Custom", overrides=overrides, seeds=[5],
                         output_dir=tmp_path / name))
+        assert read_bytes_tree(tmp_path / "inline") == read_bytes_tree(tmp_path / "helper")
+
+    def test_helper_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        # block 1 raises on the helper thread: the step raises it again on the
+        # calling thread, and the next market reuses the same, idle helper
+        monkeypatch.setattr(model, "_HELPER_MIN_FIRMS", 0)
+        block_market = model._block_market
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("block 1 failed")
+            return block_market(*args)
+
+        economy = model.Economy(ModelConfig(n_firms=8, n_workers=400, margin=0.2,
+                                            rounding=Rounding.PER_UNIT))
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_block_market", failing)
+            with pytest.raises(RuntimeError, match="block 1 failed"):
+                economy.step()
+        helper = model._helper
+        overrides = dict(n_firms=64, n_workers=3200, iterations=60)
+        for name, threshold in (("helper", 0), ("inline", 10**9)):
+            monkeypatch.setattr(model, "_HELPER_MIN_FIRMS", threshold)
+            run(RunSpec(preset="Custom", overrides=overrides, seeds=[5],
+                        output_dir=tmp_path / name))
+        assert model._helper is helper
         assert read_bytes_tree(tmp_path / "inline") == read_bytes_tree(tmp_path / "helper")
 
     def test_forked_workers_start_their_own_helper(self, tmp_path):

@@ -26,6 +26,9 @@ class TestWriteSnapshot:
         path = tmp_path / "snapshot.csv"
         io.write_snapshot(path, 40, sizes, outputs, solds)
         assert path.read_bytes() == reference_snapshot(40, sizes, outputs, solds).encode()
+        # sold is the output array itself, as in ScenarioI
+        io.write_snapshot(path, 40, sizes, outputs, outputs)
+        assert path.read_bytes() == reference_snapshot(40, sizes, outputs, outputs).encode()
 
         # Tables at the block edges. The output column is whole numbers that
         # "%d" writes, but for one value that needs "%.9g" in the last block.

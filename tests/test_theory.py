@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -106,19 +107,37 @@ class TestGrowthDensity:
             TheoryParams(alpha=0.1, beta=0.5, c=0.0)
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # a fresh interpreter: this test process has scipy loaded already. Nor is
     # multiprocessing loaded: only a run with a worker pool needs it. Nor is
     # numpy.random: the first stream of a run imports it. Nor has a thread
     # started, even once an Economy is built: a market starts its helper.
-    # Nor are concurrent.futures and logging loaded: the helper, a worker
-    # pool and the clamped-offer warning import them where they are used.
+    # Nor are concurrent.futures, logging and argparse loaded: a worker pool,
+    # the clamped-offer warning and the command line import them where they
+    # are used. A whole run, helper thread included, then loads none of them
+    # and no numpy.ma either: the tail window reads its quartile off the
+    # sorted sizes, not through np.percentile.
     src = str(Path(firmgrowth.__file__).parents[1])
-    code = ("import sys, firmgrowth.cli; print(any(m.split('.')[0] in ('scipy', "
-            "'multiprocessing') or m.startswith('numpy.random') for m in sys.modules)); "
-            "import threading; from firmgrowth.model import Economy, ModelConfig; "
-            "Economy(ModelConfig()); print(threading.active_count(), any(m.split('.')[0] "
-            "in ('concurrent', 'logging') for m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.split() == ["False", "1", "False"]
+    code = textwrap.dedent("""
+        import sys, threading
+        from pathlib import Path
+        from firmgrowth import cli, model
+
+        def loaded(*names):
+            return sorted(name for name in names if name in sys.modules)
+
+        print(loaded('scipy', 'multiprocessing', 'numpy.random', 'concurrent', 'logging',
+                     'argparse'))
+        model.Economy(model.ModelConfig())
+        print(threading.active_count())
+        model._HELPER_MIN_FIRMS = 0
+        cli.run(cli.RunSpec(preset='ScenarioI', output_dir=Path(sys.argv[1]),
+                            overrides=dict(n_firms=8, n_workers=400, iterations=5)))
+        print(loaded('numpy.ma', 'argparse', 'concurrent', 'logging', 'scipy',
+                     'multiprocessing'), threading.active_count())
+        """)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["[]", "1"] and lines[-1] == "[] 2"
+    assert (tmp_path / "seed_00001" / "fit.csv").read_text().count("\n") == 3
