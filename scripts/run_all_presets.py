@@ -48,10 +48,10 @@ def main() -> int:
         overrides = {} if args.full else dict(REDUCED[preset])
         spec = cli.RunSpec(preset=preset, overrides=overrides,
                            output_dir=args.out / preset, seeds=[args.seed])
-        start = time.time()
+        start = time.perf_counter()
         cli.run(spec)
         seed_dir = args.out / preset / f"seed_{args.seed:05d}"
-        print(f"{preset:<18} {time.time() - start:6.1f}s  {summarize(seed_dir)}")
+        print(f"{preset:<18} {time.perf_counter() - start:6.1f}s  {summarize(seed_dir)}")
     return 0
 
 

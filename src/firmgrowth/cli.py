@@ -8,8 +8,10 @@ tables.
 """
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
 import re
 import sys
 import typing
@@ -22,6 +24,7 @@ from . import analytics, io, theory
 from .baselines import (BaselineConfig, step_additive, step_marsili_sequential,
                         step_scaled_beta)
 from .model import Economy, GrowthBatch, ModelConfig, Rounding, Scenario
+from .outputs import SeedOutputs, write_size_analytics
 from .rng import substream
 
 
@@ -229,44 +232,6 @@ def _snapshot_times(spec: RunSpec, cfg) -> list[int]:
     return spec.snapshot_times if spec.snapshot_times is not None else [cfg.iterations]
 
 
-def _write_size_analytics(outdir: Path, snap: analytics.SizeSnapshot):
-    """Write ``ccdf.csv`` and, when the tail window holds enough firms,
-    ``fit.csv``. Returns the written paths and the tail fits (None if skipped)."""
-    files = [outdir / "ccdf.csv"]
-    io.write_ccdf(files[0], analytics.ccdf(snap))
-    try:
-        window = analytics.default_tail_range(snap)
-        fits = analytics.fit_power_law_tail(snap, window)
-    except ValueError:
-        return files, None  # too few firms in the tail window, nothing to report
-    files.append(outdir / "fit.csv")
-    io.write_fits(files[1], fits)
-    return files, fits
-
-
-def _write_analytics(outdir: Path, snap: analytics.SizeSnapshot,
-                     acc: analytics.GrowthAccumulator) -> list[Path]:
-    files, _ = _write_size_analytics(outdir, snap)
-    if acc.total:  # some growth records survived the size filter
-        path = outdir / "growth_hist.csv"
-        io.write_growth_hist(path, acc.histogram())
-        files.append(path)
-
-    binned = acc.binned()
-    if binned:
-        path = outdir / "binned_sigma.csv"
-        io.write_binned_sigma(path, binned)
-        files.append(path)
-    try:
-        beta = analytics.fit_beta(binned)
-    except ValueError:
-        return files  # fewer than 3 populated size bins, nothing to fit
-    path = outdir / "beta_fit.csv"
-    io.write_fits(path, [beta])
-    files.append(path)
-    return files
-
-
 class _NoiseProcess:
     """A reference noise process with ``Economy``'s stepping interface. It
     has no production cycle: ``output`` and ``sold`` are zeros."""
@@ -296,23 +261,47 @@ def _simulator(kind: str, cfg):
     return Economy(cfg) if kind == "model" else _NoiseProcess(kind, cfg)
 
 
+# A seed that runs serially and streams at least this many growth records
+# (iterations times firms or units) writes its outputs in a forked child (see
+# forked.py). Forking, feeding and reaping the child cost the simulating
+# process about 6 ms, and the child takes 30-40 ns per record of accumulation
+# off it, more where snapshots are frequent. Runs with one final snapshot
+# broke even between 1.0e5 and 1.8e5 records (ScenarioII, ScenarioI and a
+# 500-firm Custom market; 2-core x86-64 host, medians of 15 alternating
+# runs). The benchmark's marsili workload (30,000 records) stays inline.
+_CONSUMER_MIN_RECORDS = 150_000
+
+
+def _forks_outputs(spec: RunSpec, records: int) -> bool:
+    """Whether a seed of ``records`` growth records writes its outputs in a
+    forked child: only when seeds run serially, the host can fork and gives
+    the process a second core, and the records repay the fork."""
+    if min(spec.workers, len(spec.seeds)) > 1 or not hasattr(os, "fork"):
+        return False
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return cpus >= 2 and records >= _CONSUMER_MIN_RECORDS
+
+
 def _seed_job(spec: RunSpec, kind: str, cfg) -> list[tuple[str, str]]:
     """Simulate one materialized seed; returns (relative path, sha256) pairs."""
     times = set(_snapshot_times(spec, cfg))
-    seed_dir = spec.output_dir / f"seed_{cfg.seed:05d}"
-    seed_dir.mkdir(parents=True, exist_ok=True)
+    outputs = SeedOutputs(spec.output_dir, cfg.seed, spec.min_size)
+    outputs.seed_dir.mkdir(parents=True, exist_ok=True)
     sim = _simulator(kind, cfg)
-    acc = analytics.GrowthAccumulator(min_size=spec.min_size)
-    paths: list[Path] = []
-    for t in range(1, cfg.iterations + 1):
-        acc.update(sim.step())
-        if t in times:
-            paths.append(seed_dir / f"snapshot_t{t}.csv")
-            io.write_snapshot(paths[-1], t, sim.size, sim.output, sim.sold)
-    snap = analytics.SizeSnapshot.from_values(sim.size)
-    paths += _write_analytics(seed_dir, snap, acc)
-    return [(p.relative_to(spec.output_dir).as_posix(), io.sha256_file(p))
-            for p in sorted(paths)]
+    writer = contextlib.nullcontext(outputs)
+    if _forks_outputs(spec, cfg.iterations * sim.size.size):
+        from .forked import ForkedOutputs  # only a forked run loads it
+
+        # Forked before the first step: a helper thread left by an earlier
+        # seed is idle between markets, and the child never uses it.
+        writer = ForkedOutputs(outputs)
+    with writer as sink:
+        for t in range(1, cfg.iterations + 1):
+            sink.growth(sim.step())
+            if t in times:
+                sink.snapshot(t, sim.size, sim.output, sim.sold)
+        return sink.finish(sim.size)
 
 
 def _naming_seed(seed: int, fn, *args):
@@ -378,7 +367,7 @@ def analyze(input_dir: Path, output_dir: Path | None = None) -> int:
     outdir = output_dir if output_dir is not None else input_dir
     outdir.mkdir(parents=True, exist_ok=True)
 
-    files, fits = _write_size_analytics(outdir, snap)
+    files, fits = write_size_analytics(outdir, snap)
     print(f"wrote {files[0]} ({len(snap)} firms at t={t})")
     if fits is None:
         print("tail fit skipped: too few firms in the tail window")

@@ -170,6 +170,11 @@ class GrowthBatch:
     def size_before(self) -> np.ndarray:
         return self.records()[0]
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unmasked float (size_before, size_after) arrays the batch holds:
+        ``GrowthBatch(*batch.arrays())`` reads the same records."""
+        return self._before, self._after
+
 
 def required_workers(planned_output, margin: float, wage: float = 1.0, price: float = 1.0):
     """Workers needed to produce ``planned_output`` goods at the expected margin.
@@ -197,7 +202,16 @@ def equal_split(total: int, n: int) -> np.ndarray:
 
 
 def round_array(x, rng: np.random.Generator) -> np.ndarray:
-    """Round up with probability frac(x), down otherwise. Unbiased: E[result] = x."""
+    """Round up with probability frac(x), down otherwise. Unbiased: E[result] = x.
+
+    A float ``x`` gives an int, drawn from the same one double that a 0-d
+    array draws, without the array round trip.
+    """
+    if isinstance(x, float):
+        if x < 0:
+            raise ValueError("cannot round negative quantities")
+        lo = math.floor(x)
+        return lo + (rng.random() < x - lo)
     x = np.asarray(x, dtype=float)
     if x.size and x.min() < 0:
         raise ValueError("cannot round negative quantities")

@@ -298,6 +298,99 @@ class TestRun:
         assert sizes.sum() == 900
 
 
+class TestForkedOutputs:
+    """A serial seed whose outputs a forked child writes."""
+
+    def test_outputs_do_not_depend_on_the_child(self, tmp_path, monkeypatch, request):
+        # the helper thread is alive when the second seed forks
+        monkeypatch.setattr(model, "_HELPER_MIN_FIRMS", 0)
+        overrides = dict(n_firms=64, n_workers=3200, iterations=60, rounding=Rounding.PER_UNIT)
+        spec = dict(preset="Custom", overrides=overrides, seeds=[5, 6], snapshot_times=[30, 60])
+        run(RunSpec(output_dir=tmp_path / "inline", **spec))
+        pids = request.getfixturevalue("forked_outputs")
+        run(RunSpec(output_dir=tmp_path / "forked", **spec))
+        assert len(pids) == 2
+        assert read_bytes_tree(tmp_path / "inline") == read_bytes_tree(tmp_path / "forked")
+
+    def failing_step(self, monkeypatch):
+        step = cli.Economy.step
+
+        def failing_step(economy):
+            if economy.config.seed == 4 and economy.time == 5:
+                raise ValueError("sizes must be positive")
+            return step(economy)
+
+        monkeypatch.setattr(cli.Economy, "step", failing_step)
+        return "sizes must be positive"
+
+    def failing_write(self, monkeypatch):
+        parent, write = os.getpid(), cli.io.write_snapshot
+
+        def failing_write(path, t, *columns):
+            assert os.getpid() != parent, "the parent wrote a snapshot"
+            if "seed_00004" in str(path):
+                raise OSError("disk full")
+            return write(path, t, *columns)
+
+        monkeypatch.setattr(cli.io, "write_snapshot", failing_write)
+        return "disk full"
+
+    def dying_write(self, monkeypatch):
+        parent, write = os.getpid(), cli.io.write_snapshot
+
+        def dying_write(path, t, *columns):
+            assert os.getpid() != parent, "the parent wrote a snapshot"
+            if "seed_00004" in str(path):
+                os._exit(3)
+            return write(path, t, *columns)
+
+        monkeypatch.setattr(cli.io, "write_snapshot", dying_write)
+        return "exited with code 3"
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):  # no such child: it was reaped
+                os.waitpid(pid, os.WNOHANG)
+
+    def run_main(self, tmp_path, monkeypatch):
+        """``cli.main`` of a two-seed run, with stdout a block-buffered pipe
+        that already holds a line when the children fork; returns the exit
+        code and everything written to stdout."""
+        read_end, write_end = os.pipe()
+        stdout = open(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("before the run")
+        code = cli.main(["run", "--preset", "Custom", "--n-firms", "15", "--n-workers", "300",
+                         "--iterations", "10", "--seeds", "3,4", "--snapshot-times", "5,10",
+                         "-o", str(tmp_path)])
+        stdout.close()
+        with open(read_end) as fh:
+            return code, fh.read()
+
+    @pytest.mark.parametrize("cause", ["failing_step", "failing_write", "dying_write"])
+    def test_an_error_on_either_side_fails_the_seed(self, cause, tmp_path, forked_outputs,
+                                                    monkeypatch, capsys):
+        message = getattr(self, cause)(monkeypatch)
+        code, out = self.run_main(tmp_path, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: seed 4: ") and message in err
+        assert len(forked_outputs) == 2
+        assert not (tmp_path / "manifest.csv").exists()
+        self.assert_reaped(forked_outputs)
+        assert out == "before the run\n"  # no child flushed the inherited buffer
+
+    def test_a_forked_run_prints_once(self, tmp_path, forked_outputs, monkeypatch):
+        code, out = self.run_main(tmp_path, monkeypatch)
+        assert code == 0
+        assert len(forked_outputs) == 2
+        self.assert_reaped(forked_outputs)
+        manifest = tmp_path / "manifest.csv"
+        assert out.splitlines() == ["before the run", f"wrote {manifest} (sha256 "
+                                    f"{cli.io.sha256_file(manifest)})"]
+
+
 class TestMainEntry:
     def test_run_with_flags(self, tmp_path):
         code = cli.main([

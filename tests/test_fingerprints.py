@@ -82,3 +82,12 @@ def test_manifest_fingerprint(args, expected, tmp_path, capsys):
     assert cli.main(["run", *args.split(), "-o", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "manifest.csv").read_bytes()).hexdigest()
     assert digest == expected
+
+
+@pytest.mark.parametrize("args,expected", FINGERPRINTS,
+                         ids=[f"{i}-{args.split()[1]}" for i, (args, _) in enumerate(FINGERPRINTS)])
+def test_manifest_fingerprint_with_forked_outputs(args, expected, forked_outputs, tmp_path,
+                                                  capsys):
+    # every seed's outputs written by a forked child: the same bytes
+    test_manifest_fingerprint(args, expected, tmp_path, capsys)
+    assert len(forked_outputs) == len(list(tmp_path.glob("seed_*"))) > 0

@@ -76,6 +76,21 @@ class TestProbabilisticRound:
         (got,) = round_array([x], substream(seed, 0))
         assert got in (math.floor(x), math.ceil(x))
 
+    @given(st.floats(min_value=0, max_value=2.0**60, allow_nan=False), st.integers(0, 2**32))
+    @settings(max_examples=200)
+    def test_float_draws_what_a_0d_array_draws(self, x, seed):
+        # the scalar branch takes the same one double from the stream
+        scalar_rng, array_rng = substream(seed, 0), substream(seed, 0)
+        for _ in range(3):
+            got = round_array(x, scalar_rng)
+            assert type(got) is int
+            assert got == round_array(np.asarray(x), array_rng)
+        assert scalar_rng.bit_generator.state == array_rng.bit_generator.state
+
+    def test_negative_float_rejected(self):
+        with pytest.raises(ValueError):
+            round_array(-0.1, substream(4, 0))
+
 
 class TestPerUnitOffer:
     def test_empty_firm(self):
